@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -42,11 +43,15 @@ class _Parser(argparse.ArgumentParser):
 
 @contextmanager
 def _out_stream(path: str) -> Iterator[IO[str]]:
+    """Collect a subcommand's output; write it only once the body succeeded,
+    so a failed run never creates or truncates --out."""
+    buffer = io.StringIO()
+    yield buffer
     if path == "-":
-        yield sys.stdout
+        sys.stdout.write(buffer.getvalue())
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+            fh.write(buffer.getvalue())
 
 
 def _header(command: str, args: argparse.Namespace, pairs: Sequence[tuple[str, object]]) -> str:
@@ -98,7 +103,7 @@ def _gather_forms(args: argparse.Namespace) -> list[str]:
     forms = list(args.form or [])
     if args.forms_file:
         try:
-            raw = Path(args.forms_file).read_text(encoding="utf-8")
+            raw = Path(args.forms_file).read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise CorpusFormatError(f"cannot read forms file {args.forms_file}: {exc}") from exc
         forms.extend(
@@ -279,7 +284,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.spec_out:
         save_class_spec(corpus.spec, args.spec_out)
     print(
-        f"wrote {len(corpus.tokens)} tokens over {spec.n_types} types to {args.out};"
+        f"wrote {len(corpus)} tokens over {spec.n_types} types to {args.out};"
         f" truth sidecar: {truth_out}",
         file=sys.stderr,
     )

@@ -4,18 +4,22 @@ estimators on the tokens of held-out types unseen in training."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from .corpus import TaggedCorpus, shuffled_order
 from .estimators import ExpectedCounts, PriorEstimate, expected_unseen_counts, hapax_mle, overall_mle
-from .spectrum import build_spectrum
+from .spectrum import SpectrumTable
 from .stats import TTestResult, paired_t
 
 
 class CrossValError(RuntimeError):
-    """A fold-level failure, carrying the 1-based fold index."""
+    """A cross-validation failure, carrying the 1-based fold index, or None
+    when the corpus cannot be split into the requested folds at all."""
 
-    def __init__(self, fold: int, message: str):
-        super().__init__(f"fold {fold}: {message}")
+    def __init__(self, fold: int | None, message: str):
+        super().__init__(message if fold is None else f"fold {fold}: {message}")
         self.fold = fold
 
 
@@ -82,21 +86,60 @@ def make_folds(corpus: TaggedCorpus, k: int, seed: int) -> FoldPlan:
     Equivalent to shuffling the corpus with shuffle_tokens(corpus, seed) and
     slicing the result contiguously.
     """
-    n = len(corpus.tokens)
+    n = len(corpus)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if k > n:
         raise ValueError(f"k = {k} exceeds the token count {n}")
-    order = shuffled_order(n, seed)
     base, extra = divmod(n, k)
-    assignments = [0] * n
-    pos = 0
-    for fold in range(1, k + 1):
-        size = base + (1 if fold <= extra else 0)
-        for _ in range(size):
-            assignments[order[pos]] = fold
-            pos += 1
-    return FoldPlan(k=k, seed=seed, assignments=tuple(assignments))
+    sizes = [base + (1 if fold <= extra else 0) for fold in range(1, k + 1)]
+    assignments = np.empty(n, dtype=np.int64)
+    assignments[shuffled_order(n, seed)] = np.repeat(np.arange(1, k + 1), sizes)
+    return FoldPlan(k=k, seed=seed, assignments=tuple(assignments.tolist()))
+
+
+def _fold_scorer(corpus: TaggedCorpus, plan: FoldPlan) -> Callable[[int], FoldResult]:
+    """The fold computation shared by run_fold and run_crossval.
+
+    The whole-corpus form-by-function table is counted once; a fold's
+    training table is that table minus the counts of its held-out tokens
+    (deleted estimation), so no fold rebuilds a spectrum.
+    """
+    if len(plan.assignments) != len(corpus):
+        raise ValueError("plan does not cover this corpus")
+    n = corpus.spec.n_functions
+    size = len(corpus.forms) * n
+    cells = corpus.form_ids * n + corpus.functions
+    full = np.bincount(cells, minlength=size)
+    assignments = np.array(plan.assignments, dtype=np.int64)
+
+    def score(fold: int) -> FoldResult:
+        held_out = cells[assignments == fold]
+        train = (full - np.bincount(held_out, minlength=size)).reshape(-1, n)
+        type_totals = train.sum(axis=1)
+        # the estimators read only the totals of a table
+        table = SpectrumTable(
+            spec=corpus.spec,
+            types={},
+            token_totals=tuple(train.sum(axis=0).tolist()),
+            hapax_totals=tuple(train[type_totals == 1].sum(axis=0).tolist()),
+        )
+        omle = overall_mle(table)
+        hmle = hapax_mle(table)
+        unseen = np.bincount(held_out[type_totals[held_out // n] == 0] % n, minlength=n)
+        n_unseen = int(unseen.sum())
+        return FoldResult(
+            run=fold,
+            train_totals=table.token_totals,
+            hapax_totals=table.hapax_totals,
+            omle=omle,
+            hmle=hmle,
+            unseen_observed=tuple(unseen.tolist()),
+            expected_o=expected_unseen_counts(omle, n_unseen),
+            expected_h=expected_unseen_counts(hmle, n_unseen),
+        )
+
+    return score
 
 
 def run_fold(corpus: TaggedCorpus, plan: FoldPlan, fold: int) -> FoldResult:
@@ -110,32 +153,7 @@ def run_fold(corpus: TaggedCorpus, plan: FoldPlan, fold: int) -> FoldResult:
     """
     if not 1 <= fold <= plan.k:
         raise ValueError(f"fold must be in 1..{plan.k}, got {fold}")
-    if len(plan.assignments) != len(corpus.tokens):
-        raise ValueError("plan does not cover this corpus")
-
-    train = [tok for tok, a in zip(corpus.tokens, plan.assignments) if a != fold]
-    held_out = [tok for tok, a in zip(corpus.tokens, plan.assignments) if a == fold]
-
-    table = build_spectrum(TaggedCorpus(spec=corpus.spec, tokens=tuple(train)))
-    omle = overall_mle(table)
-    hmle = hapax_mle(table)
-
-    unseen = [0] * corpus.spec.n_functions
-    for tok in held_out:
-        if tok.form not in table.types:
-            unseen[tok.function] += 1
-    n_unseen = sum(unseen)
-
-    return FoldResult(
-        run=fold,
-        train_totals=table.token_totals,
-        hapax_totals=table.hapax_totals,
-        omle=omle,
-        hmle=hmle,
-        unseen_observed=tuple(unseen),
-        expected_o=expected_unseen_counts(omle, n_unseen),
-        expected_h=expected_unseen_counts(hmle, n_unseen),
-    )
+    return _fold_scorer(corpus, plan)(fold)
 
 
 def run_crossval(
@@ -149,7 +167,8 @@ def run_crossval(
     Per fold, the observed ratio is unseen_observed[num]/unseen_observed[den]
     and each expected ratio uses the unrounded expected counts.  Any fold
     error, or a zero denominator in any ratio, raises CrossValError naming
-    the fold.
+    the fold; a k the corpus cannot be split into raises CrossValError with
+    fold None.
     """
     spec = corpus.spec
     if ratio is None:
@@ -157,11 +176,15 @@ def run_crossval(
     num = spec.function_index(ratio[0])
     den = spec.function_index(ratio[1])
 
-    plan = make_folds(corpus, k, seed)
+    try:
+        plan = make_folds(corpus, k, seed)
+    except ValueError as exc:
+        raise CrossValError(None, f"cannot split into folds: {exc}") from exc
+    score = _fold_scorer(corpus, plan)
     folds: list[FoldResult] = []
     for fold in range(1, k + 1):
         try:
-            folds.append(run_fold(corpus, plan, fold))
+            folds.append(score(fold))
         except (ValueError, ArithmeticError) as exc:
             raise CrossValError(fold, str(exc)) from exc
 

@@ -8,6 +8,8 @@ import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .corpus import ClassSpec, TaggedCorpus
 
 
@@ -80,26 +82,15 @@ class ClassProportionPoint:
 def build_spectrum(corpus: TaggedCorpus) -> SpectrumTable:
     """Aggregate a corpus into per-type counts and per-function totals."""
     n = corpus.spec.n_functions
-    counts: dict[str, list[int]] = {}
-    for tok in corpus.tokens:
-        per = counts.get(tok.form)
-        if per is None:
-            per = counts[tok.form] = [0] * n
-        per[tok.function] += 1
-
-    types = {form: TypeCount(form, tuple(per)) for form, per in counts.items()}
-    token_totals = [0] * n
-    hapax_totals = [0] * n
-    for tc in types.values():
-        for f, c in enumerate(tc.per_function):
-            token_totals[f] += c
-        if tc.is_hapax:
-            hapax_totals[tc.per_function.index(1)] += 1
+    counts = np.bincount(
+        corpus.form_ids * n + corpus.functions, minlength=len(corpus.forms) * n
+    ).reshape(-1, n)
+    hapax = counts.sum(axis=1) == 1
     return SpectrumTable(
         spec=corpus.spec,
-        types=types,
-        token_totals=tuple(token_totals),
-        hapax_totals=tuple(hapax_totals),
+        types={form: TypeCount(form, per) for form, per in zip(corpus.forms, counts.tolist())},
+        token_totals=tuple(counts.sum(axis=0).tolist()),
+        hapax_totals=tuple(counts[hapax].sum(axis=0).tolist()),
     )
 
 

@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.special import betainc
-
 
 class DegenerateTTestError(ValueError):
     """All differences are equal but nonzero: the t statistic is infinite."""
@@ -30,6 +28,9 @@ def two_sided_p(t: float, df: int) -> float:
     """
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
+    # imported on first use: it would dominate the start-up of every command
+    from scipy.special import betainc
+
     return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .corpus import ClassSpec, TaggedCorpus, TokenRecord
+from .corpus import ClassSpec, TaggedCorpus
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,12 @@ def generate(spec: SynthSpec) -> tuple[TaggedCorpus, SynthTruth]:
     """
     counts = zipf_token_counts(spec.n_types, spec.zipf_exponent, spec.target_tokens)
     log_span = math.log(spec.n_types)
-    rng = np.random.default_rng(spec.seed)
+    ranks = range(1, spec.n_types + 1)
+    forms = tuple(_form_name(rank) for rank in ranks)
+    p_ref = [spec.p_high + (spec.p_low - spec.p_high) * math.log(rank) / log_span for rank in ranks]
+    token_p_ref = np.repeat(p_ref, counts)
+    # one draw per token in rank order: the same stream as one draw per rank
+    is_ref = np.random.default_rng(spec.seed).random(len(token_p_ref)) < token_p_ref
 
     class_spec = ClassSpec(
         name="synth",
@@ -113,23 +118,13 @@ def generate(spec: SynthSpec) -> tuple[TaggedCorpus, SynthTruth]:
         suffix="",
         tag_map={label: label for label in spec.functions},
     )
-
-    tokens: list[TokenRecord] = []
-    probabilities: dict[str, float] = {}
-    token_counts: dict[str, int] = {}
-    for rank, count in enumerate(counts, start=1):
-        form = _form_name(rank)
-        p_ref = spec.p_high + (spec.p_low - spec.p_high) * math.log(rank) / log_span
-        probabilities[form] = p_ref
-        token_counts[form] = count
-        is_ref = rng.random(count) < p_ref
-        tokens.extend(TokenRecord(form=form, function=0 if ref else 1) for ref in is_ref)
-
-    corpus = TaggedCorpus(spec=class_spec, tokens=tuple(tokens))
+    corpus = TaggedCorpus.from_columns(
+        class_spec, forms, np.repeat(np.arange(spec.n_types), counts), np.where(is_ref, 0, 1)
+    )
     truth = SynthTruth(
         reference=spec.functions[0],
-        probabilities=probabilities,
-        token_counts=token_counts,
+        probabilities=dict(zip(forms, p_ref)),
+        token_counts=dict(zip(forms, counts)),
     )
     return corpus, truth
 

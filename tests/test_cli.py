@@ -321,3 +321,72 @@ class TestDeterminismAndNonMutation:
             assert main([*argv, "--out", str(tmp_path / "scratch.out")]) == 0
             capsys.readouterr()
         assert (open(corpus, "rb").read(), open(spec, "rb").read()) == before
+
+
+class TestFailedRuns:
+    def test_k_above_token_count_is_a_one_line_data_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path)
+        corpus = write_corpus(tmp_path, [("lopen", 0), ("eten", 1), ("zitten", 0)])
+        for command in ("crossval", "report"):
+            code, out, err = run(capsys, command, "--corpus", corpus, "--class-spec", spec, "--k", "5")
+            assert code == 2, command
+            assert out == ""
+            assert err.count("\n") == 1 and "k = 5 exceeds the token count 3" in err
+
+    def test_failed_run_leaves_out_file_alone(self, tmp_path, capsys):
+        spec = write_spec(tmp_path)
+        nohapax = write_corpus(tmp_path, [("lopen", 0)] * 6 + [("eten", 1)] * 6)
+        failing = [
+            ["priors", "--corpus", nohapax, "--class-spec", spec, "--form", "zen"],
+            ["crossval", "--corpus", nohapax, "--class-spec", spec, "--k", "2"],
+            ["report", "--corpus", nohapax, "--class-spec", spec, "--k", "2"],
+        ]
+        for argv in failing:
+            fresh = tmp_path / "fresh.csv"
+            assert main([*argv, "--out", str(fresh)]) == 2
+            assert not fresh.exists(), argv
+            existing = tmp_path / "existing.csv"
+            existing.write_bytes(b"earlier output\n")
+            assert main([*argv, "--out", str(existing)]) == 2
+            assert existing.read_bytes() == b"earlier output\n", argv
+        capsys.readouterr()
+
+
+class TestByteOrderMark:
+    def test_bom_is_not_part_of_the_first_form_spec_or_forms_file(self, tmp_path, capsys):
+        spec = tmp_path / "class.spec"
+        spec.write_bytes("\ufeff".encode() + SPEC_TEXT.encode())
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_bytes("\ufeffxen\tV(inf)\nxen\tV(pl)\nyen\tV(pl)\n".encode())
+        forms = tmp_path / "forms.txt"
+        forms.write_bytes("\ufeffxen\n".encode())
+        code, out, _ = run(capsys, "priors", "--corpus", str(corpus), "--class-spec", str(spec),
+                           "--forms-file", str(forms))
+        assert code == 0
+        assert data_lines(out)[1] == "xen,backoff-form,2,0.500000,0.500000"
+
+
+class TestColumnarPipeline:
+    def test_crossval_builds_no_per_token_or_per_type_objects(self, tmp_path, capsys, monkeypatch):
+        from hapaxprior import TokenRecord, TypeCount
+
+        built = []
+
+        def counted(post_init):
+            def wrapper(self):
+                built.append(self)
+                post_init(self)
+            return wrapper
+
+        for cls in (TokenRecord, TypeCount):
+            monkeypatch.setattr(cls, "__post_init__", counted(cls.__post_init__))
+        spec = write_spec(tmp_path)
+        corpus = write_corpus(tmp_path, crossval_pairs())
+        for command in ("crossval", "report"):
+            code, _, _ = run(capsys, command, "--corpus", corpus, "--class-spec", spec, "--k", "5")
+            assert code == 0
+        assert built == []
+        # the patch is live: the tokens view does build records
+        from hapaxprior import load_class_spec, load_corpus
+        load_corpus(corpus, load_class_spec(spec)).tokens
+        assert built

@@ -169,6 +169,51 @@ class TestRecords:
             TaggedCorpus(spec=en_spec, tokens=(TokenRecord("huis", 0),))
 
 
+class TestColumns:
+    def test_load_interns_forms_in_first_occurrence_order(self, tmp_path, en_spec):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("werken\tV(inf)\nlopen\tV(pl)\nhuis\tN\nwerken\tV(pl)\nlopen\tV(inf)\n")
+        corpus = load_corpus(path, en_spec)
+        assert corpus.forms == ("werken", "lopen")
+        assert corpus.form_ids.tolist() == [0, 1, 0, 1]
+        assert corpus.functions.tolist() == [0, 1, 1, 0]
+        assert corpus.dropped == 1 and len(corpus) == 4
+        assert corpus.tokens == corpus_of(en_spec, [("werken", 0), ("lopen", 1), ("werken", 1), ("lopen", 0)]).tokens
+
+    def test_first_bad_line_is_reported(self, tmp_path, en_spec):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("lopen\tV(inf)\nlopen\tV(inf)\n\tV(pl)\nbad\nbad\n")
+        with pytest.raises(CorpusFormatError, match=r"corpus\.tsv:3: empty form"):
+            load_corpus(path, en_spec)
+        path.write_text("lopen\tV(inf)\nbad\nlopen\tV(pl)\nbad\n")
+        with pytest.raises(CorpusFormatError, match=r"corpus\.tsv:2: expected"):
+            load_corpus(path, en_spec)
+
+    def test_from_columns_matches_tokens_and_is_read_only(self, ab_spec):
+        corpus = TaggedCorpus.from_columns(ab_spec, ("x", "y"), [0, 1, 0], [1, 0, 0], dropped=2)
+        assert corpus.tokens == (TokenRecord("x", 1), TokenRecord("y", 0), TokenRecord("x", 0))
+        assert corpus == TaggedCorpus(ab_spec, corpus.tokens, dropped=2)
+        with pytest.raises(ValueError):
+            corpus.form_ids[0] = 1
+
+    @pytest.mark.parametrize("forms, form_ids, functions", [
+        (("x", "y"), [1, 0], [0, 0]),      # not in first-occurrence order
+        (("x", "y"), [0, 0], [0, 0]),      # a form without tokens
+        (("x", "x"), [0, 1], [0, 0]),      # duplicate form
+        (("x",), [0, -1], [0, 0]),         # negative id
+        (("x",), [0, 0], [0, 2]),          # function out of range
+        (("x",), [0, 0], [0]),             # columns of different length
+        ((" ",), [0], [0]),                # empty form
+    ])
+    def test_from_columns_rejects_inconsistent_columns(self, ab_spec, forms, form_ids, functions):
+        with pytest.raises(ValueError):
+            TaggedCorpus.from_columns(ab_spec, forms, form_ids, functions)
+
+    def test_from_columns_checks_the_suffix_per_form(self, en_spec):
+        with pytest.raises(ValueError, match="huis"):
+            TaggedCorpus.from_columns(en_spec, ("lopen", "huis"), [0, 1], [0, 0])
+
+
 class TestShuffle:
     def test_same_seed_same_order(self, ab_spec):
         corpus = corpus_of(ab_spec, [(f"w{i}", i % 2) for i in range(30)])

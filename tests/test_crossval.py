@@ -235,3 +235,79 @@ class TestRunCrossval:
         corpus = corpus_of(ab_spec, pairs)
         with pytest.raises(CrossValError, match="zero denominator"):
             run_crossval(corpus, k=2, seed=1, ratio=("a", "b"))
+
+
+class TestRunCrossvalMatchesOracle:
+    """Every fold of run_crossval, whose training tables are the whole-corpus
+    table minus the held-out counts, against a naive recount of that fold."""
+
+    def outcome(self, ab_spec, pairs, k, seed):
+        corpus = corpus_of(ab_spec, pairs)
+        plan = make_folds(corpus, k, seed)
+        wants = [oracles.fold_bookkeeping(pairs, plan.assignments, fold, 2) for fold in range(1, k + 1)]
+        hapax_free = [fold for fold, want in enumerate(wants, start=1) if want is None]
+        if hapax_free:
+            with pytest.raises(CrossValError) as exc_info:
+                run_crossval(corpus, k, seed)
+            assert exc_info.value.fold == hapax_free[0]
+            return wants, "hapax-free"
+        zero_den = [
+            fold for fold, want in enumerate(wants, start=1)
+            if 0 in (want["unseen"][1], want["expected_o"][1], want["expected_h"][1])
+        ]
+        if zero_den:
+            with pytest.raises(CrossValError, match="zero denominator") as exc_info:
+                run_crossval(corpus, k, seed)
+            assert exc_info.value.fold == zero_den[0]
+            folds = [run_fold(corpus, plan, fold) for fold in range(1, k + 1)]
+        else:
+            folds = run_crossval(corpus, k, seed).folds
+        for fr, want in zip(folds, wants):
+            assert fr.train_totals == tuple(want["train_totals"])
+            assert fr.hapax_totals == tuple(want["hapax_totals"])
+            assert fr.omle.probabilities == tuple(want["omle"])
+            assert fr.hmle.probabilities == tuple(want["hmle"])
+            assert fr.unseen_observed == tuple(want["unseen"])
+            assert fr.expected_o.real == tuple(want["expected_o"])
+            assert fr.expected_h.real == tuple(want["expected_h"])
+            assert fr.expected_o.rounded == tuple(want["rounded_o"])
+            assert fr.expected_h.rounded == tuple(want["rounded_h"])
+        return wants, "zero-denominator" if zero_den else "ok"
+
+    def test_random_corpora(self, ab_spec):
+        rng = random.Random(47)
+        outcomes = {"ok": 0, "zero-denominator": 0, "hapax-free": 0}
+        no_unseen = all_unseen = 0
+        for seed in range(300):
+            pairs = random_pairs(rng, max_tokens=60, max_forms=rng.choice([4, 12, 40, 80]))
+            k = rng.randint(2, min(6, len(pairs)))
+            wants, outcome = self.outcome(ab_spec, pairs, k, seed)
+            outcomes[outcome] += 1
+            if outcome != "hapax-free":
+                held = [len(pairs) - sum(w["train_totals"]) for w in wants]
+                no_unseen += sum(sum(w["unseen"]) == 0 for w in wants)
+                all_unseen += sum(sum(w["unseen"]) == h for w, h in zip(wants, held))
+        # every kind of fold occurs
+        assert min(outcomes.values()) >= 10, outcomes
+        assert no_unseen >= 10 and all_unseen >= 10, (no_unseen, all_unseen)
+
+    def test_no_held_out_form_seen_in_training(self, ab_spec):
+        # all types are hapaxes: every held-out token is unseen
+        pairs = [(f"u{i}", i % 2) for i in range(40)]
+        wants, outcome = self.outcome(ab_spec, pairs, 4, 1)
+        assert outcome == "ok"
+        assert [sum(w["unseen"]) for w in wants] == [10, 10, 10, 10]
+
+    def test_no_unseen_tokens(self, ab_spec):
+        # seed 18 splits the two tokens of p and of q across the folds: each
+        # training part has hapaxes and every held-out form is seen
+        pairs = [("w", i % 2) for i in range(12)] + [("x", 1)] * 12
+        pairs += [("p", 0), ("p", 1), ("q", 0), ("q", 1)]
+        wants, outcome = self.outcome(ab_spec, pairs, 2, 18)
+        assert outcome == "zero-denominator"
+        assert [w["unseen"] for w in wants] == [[0, 0], [0, 0]]
+
+    def test_hapax_free_training_part(self, ab_spec):
+        wants, outcome = self.outcome(ab_spec, [("w", 0)] * 6 + [("x", 1)] * 6, 2, 0)
+        assert outcome == "hapax-free"
+        assert wants == [None, None]
