@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: spectrum, priors, crossval, figure, synth, report.  All data
+Subcommands: spectrum, priors, crossval, report, figure, synth.  All data
 goes to --out (default stdout), all diagnostics to stderr.  Exit codes:
 0 success, 1 usage error, 2 data error.  Every output starts with a '#'
 header echoing the arguments (including the seed) that produced it.
@@ -14,7 +14,7 @@ import io
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 from .corpus import (
     ClassSpec,
@@ -25,10 +25,10 @@ from .corpus import (
     save_class_spec,
     save_corpus,
 )
-from .crossval import CrossValError, CrossValReport, run_crossval
+from .crossval import CrossValError, FoldResult, run_crossval
 from .estimators import EstimationError, backoff_prior
 from .spectrum import build_spectrum, class_proportions, hapaxes, running_median
-from .stats import DegenerateTTestError, TTestResult
+from .stats import DegenerateTTestError
 from .synth import SynthSpec, generate, save_truth
 
 
@@ -54,9 +54,13 @@ def _out_stream(path: str) -> Iterator[IO[str]]:
             fh.write(buffer.getvalue())
 
 
-def _header(command: str, args: argparse.Namespace, pairs: Sequence[tuple[str, object]]) -> str:
+def _header(args: argparse.Namespace, pairs: Sequence[tuple[str, object]] = ()) -> str:
+    """The '#' line echoing a command's arguments; a command that reads a
+    corpus names its input first."""
+    if "corpus" in vars(args):
+        pairs = [(key, getattr(args, key)) for key in ("corpus", "class_spec", "fold_case")] + list(pairs)
     body = " ".join(f"{k}={v}" for k, v in pairs)
-    return f"# hapaxprior {command} {body} seed={args.seed}\n"
+    return f"# hapaxprior {args.command} {body} seed={args.seed}\n"
 
 
 def _parse_ratio(spec: ClassSpec, ratio: str | None) -> tuple[str, str]:
@@ -83,9 +87,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     table = build_spectrum(corpus)
     hapax_types = hapaxes(table)
     with _out_stream(args.out) as out:
-        out.write(_header("spectrum", args, [
-            ("corpus", args.corpus), ("class_spec", args.class_spec), ("fold_case", args.fold_case),
-        ]))
+        out.write(_header(args))
         out.write(
             f"# types={len(table.types)} tokens={table.n_tokens}"
             f" hapax_types={len(hapax_types)} dropped={corpus.dropped}\n"
@@ -122,10 +124,7 @@ def cmd_priors(args: argparse.Namespace) -> int:
     corpus = _load(args)
     table = build_spectrum(corpus)
     with _out_stream(args.out) as out:
-        out.write(_header("priors", args, [
-            ("corpus", args.corpus), ("class_spec", args.class_spec),
-            ("fold_case", args.fold_case), ("threshold", args.threshold),
-        ]))
+        out.write(_header(args, [("threshold", args.threshold)]))
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["form", "source", "support", *table.spec.functions])
         for form in forms:
@@ -134,95 +133,70 @@ def cmd_priors(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- crossval
+# ------------------------------------------------------- crossval, report
 
-def _fold_labels(functions: Sequence[str]) -> list[str]:
-    return (
-        [f"n_{f}" for f in functions]
-        + ["omle"]
-        + [f"n1_{f}" for f in functions]
-        + ["hmle"]
-        + [f"n0_{f}" for f in functions]
-        + [f"e_o_{f}" for f in functions]
-        + [f"e_h_{f}" for f in functions]
-    )
-
-
-def _fold_cells(report: CrossValReport, run: int, num: int) -> list[str]:
-    """One fold's values, formatted; shared by the CSV and text renderers."""
-    fr = report.folds[run - 1]
-    return (
-        [str(c) for c in fr.train_totals]
-        + [f"{fr.omle.probabilities[num]:.6f}"]
-        + [str(c) for c in fr.hapax_totals]
-        + [f"{fr.hmle.probabilities[num]:.6f}"]
-        + [str(c) for c in fr.unseen_observed]
-        + [str(c) for c in fr.expected_o.rounded]
-        + [str(c) for c in fr.expected_h.rounded]
-    )
+# The seven row groups of a run: CSV label, text-table label (a label with
+# "{}" is one row per function) and the run's values in those rows.
+_ROW_GROUPS: tuple[tuple[str, str, Callable[[FoldResult, int], Sequence[object]]], ...] = (
+    ("n_{}", "N({})", lambda fr, num: fr.train_totals),
+    ("omle", "OMLE", lambda fr, num: [f"{fr.omle.probabilities[num]:.6f}"]),
+    ("n1_{}", "N1({})", lambda fr, num: fr.hapax_totals),
+    ("hmle", "HMLE", lambda fr, num: [f"{fr.hmle.probabilities[num]:.6f}"]),
+    ("n0_{}", "N0({})", lambda fr, num: fr.unseen_observed),
+    ("e_o_{}", "Eo({})", lambda fr, num: fr.expected_o.rounded),
+    ("e_h_{}", "Eh({})", lambda fr, num: fr.expected_h.rounded),
+)
 
 
-def _ttest_lines(report: CrossValReport) -> list[str]:
-    def fmt(name: str, r: TTestResult) -> str:
-        return f"# ttest {name} t={r.t:.6g} df={r.df} p={r.p_two_sided:.6g}\n"
+def _row_labels(functions: Sequence[str], table: bool) -> list[str]:
+    labels: list[str] = []
+    for group in _ROW_GROUPS:
+        label = group[1 if table else 0]
+        labels += [label.format(f) for f in functions] if "{}" in label else [label]
+    return labels
 
-    return [fmt("overall", report.ttest_o), fmt("hapax", report.ttest_h)]
+
+def _fold_cells(fr: FoldResult, num: int) -> list[str]:
+    """One fold's values, formatted, in the row order of _ROW_GROUPS."""
+    return [str(value) for _, _, values in _ROW_GROUPS for value in values(fr, num)]
 
 
-def _run_report(args: argparse.Namespace) -> tuple[CrossValReport, int, tuple[str, ...]]:
+def _render_csv(out: IO[str], functions: Sequence[str], runs: list[list[str]]) -> None:
+    """One CSV row per run."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["run", *_row_labels(functions, table=False)])
+    for run, cells in enumerate(runs, start=1):
+        writer.writerow([run, *cells])
+
+
+def _render_table(out: IO[str], functions: Sequence[str], runs: list[list[str]]) -> None:
+    """One right-aligned column per run, one labelled line per row."""
+    labels = _row_labels(functions, table=True)
+    rows = [["Run", *(str(run) for run in range(1, len(runs) + 1))]]
+    rows += [[label, *(cells[i] for cells in runs)] for i, label in enumerate(labels)]
+    label_w = max(len(row[0]) for row in rows)
+    col_ws = [max(len(row[c]) for row in rows) for c in range(1, len(runs) + 1)]
+    for row in rows:
+        cells = [row[0].ljust(label_w)] + [cell.rjust(w) for cell, w in zip(row[1:], col_ws)]
+        out.write("  ".join(cells) + "\n")
+
+
+def cmd_crossval(args: argparse.Namespace) -> int:
+    """Serves both `crossval` (CSV) and `report` (text table): one
+    computation, two renderers."""
     if args.k < 2:
         raise UsageError(f"--k must be >= 2, got {args.k}")
     corpus = _load(args)
     ratio = _parse_ratio(corpus.spec, args.ratio)
     report = run_crossval(corpus, args.k, args.seed, ratio)
-    return report, corpus.spec.function_index(ratio[0]), corpus.spec.functions
-
-
-def cmd_crossval(args: argparse.Namespace) -> int:
-    report, num, functions = _run_report(args)
+    num = corpus.spec.function_index(ratio[0])
+    runs = [_fold_cells(fr, num) for fr in report.folds]
+    render = _render_csv if args.command == "crossval" else _render_table
     with _out_stream(args.out) as out:
-        out.write(_header("crossval", args, [
-            ("corpus", args.corpus), ("class_spec", args.class_spec), ("fold_case", args.fold_case),
-            ("k", args.k), ("ratio", "/".join(report.ratio)),
-        ]))
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["run", *_fold_labels(functions)])
-        for run in range(1, report.k + 1):
-            writer.writerow([run, *_fold_cells(report, run, num)])
-        for line in _ttest_lines(report):
-            out.write(line)
-    return 0
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    report, num, functions = _run_report(args)
-    row_labels = (
-        [f"N({f})" for f in functions]
-        + ["OMLE"]
-        + [f"N1({f})" for f in functions]
-        + ["HMLE"]
-        + [f"N0({f})" for f in functions]
-        + [f"Eo({f})" for f in functions]
-        + [f"Eh({f})" for f in functions]
-    )
-    columns = [_fold_cells(report, run, num) for run in range(1, report.k + 1)]
-    label_w = max(len(s) for s in ["Run", *row_labels])
-    col_ws = [
-        max(len(str(run + 1)), max(len(cell) for cell in col))
-        for run, col in enumerate(columns)
-    ]
-    with _out_stream(args.out) as out:
-        out.write(_header("report", args, [
-            ("corpus", args.corpus), ("class_spec", args.class_spec), ("fold_case", args.fold_case),
-            ("k", args.k), ("ratio", "/".join(report.ratio)),
-        ]))
-        cells = ["Run".ljust(label_w)] + [str(r + 1).rjust(col_ws[r]) for r in range(report.k)]
-        out.write("  ".join(cells) + "\n")
-        for i, label in enumerate(row_labels):
-            cells = [label.ljust(label_w)] + [columns[r][i].rjust(col_ws[r]) for r in range(report.k)]
-            out.write("  ".join(cells) + "\n")
-        for line in _ttest_lines(report):
-            out.write(line)
+        out.write(_header(args, [("k", args.k), ("ratio", "/".join(report.ratio))]))
+        render(out, corpus.spec.functions, runs)
+        for name, r in (("overall", report.ttest_o), ("hapax", report.ttest_h)):
+            out.write(f"# ttest {name} t={r.t:.6g} df={r.df} p={r.p_two_sided:.6g}\n")
     return 0
 
 
@@ -237,10 +211,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     points = class_proportions(table, reference)
     smoothed = running_median([p.proportion for p in points], args.smooth_window)
     with _out_stream(args.out) as out:
-        out.write(_header("figure", args, [
-            ("corpus", args.corpus), ("class_spec", args.class_spec), ("fold_case", args.fold_case),
-            ("reference", reference), ("smooth_window", args.smooth_window),
-        ]))
+        out.write(_header(args, [("reference", reference), ("smooth_window", args.smooth_window)]))
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["frequency", "log_frequency", "n_types", "proportion", "smoothed"])
         for point, s in zip(points, smoothed):
@@ -273,7 +244,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     corpus, truth = generate(spec)
-    header = _header("synth", args, [
+    header = _header(args, [
         ("n_types", spec.n_types), ("zipf_exponent", spec.zipf_exponent),
         ("target_tokens", spec.target_tokens), ("p_high", spec.p_high),
         ("p_low", spec.p_low), ("functions", ",".join(spec.functions)),
@@ -293,44 +264,42 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- main
 
-def _add_corpus_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--corpus", required=True, help="token file, one form<TAB>tag per line")
-    p.add_argument("--class-spec", required=True, help="ambiguity-class file")
-    p.add_argument("--fold-case", action="store_true", help="lowercase forms before matching")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hapaxprior", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name: str, handler, help_: str) -> argparse.ArgumentParser:
+    def add(name: str, handler, help_: str, corpus: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.set_defaults(handler=handler)
         p.add_argument("--seed", type=int, default=0, help="random seed (echoed in output)")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
+        if corpus:
+            p.add_argument("--corpus", required=True, help="token file, one form<TAB>tag per line")
+            p.add_argument("--class-spec", required=True, help="ambiguity-class file")
+            p.add_argument("--fold-case", action="store_true", help="lowercase forms before matching")
         return p
 
-    p = add("spectrum", cmd_spectrum, "type/token/hapax summary of a corpus")
-    _add_corpus_opts(p)
+    add("spectrum", cmd_spectrum, "type/token/hapax summary of a corpus")
 
     p = add("priors", cmd_priors, "backoff prior estimates for given forms")
-    _add_corpus_opts(p)
     p.add_argument("--form", action="append", help="form to estimate (repeatable)")
     p.add_argument("--forms-file", help="file with one form per line")
     p.add_argument("--threshold", type=int, default=1,
                    help="minimum token count for the per-form route (default 1)")
 
-    p = add("crossval", cmd_crossval, "k-fold cross-validation of both estimators (CSV)")
-    _add_corpus_opts(p)
-    p.add_argument("--k", type=int, default=10, help="fold count (default 10)")
-    p.add_argument("--ratio", help="ratio orientation NUM/DEN (default: first/second function)")
+    for name, help_ in (
+        ("crossval", "k-fold cross-validation of both estimators (CSV)"),
+        ("report", "cross-validation rendered as a runs-by-rows text table"),
+    ):
+        p = add(name, cmd_crossval, help_)
+        p.add_argument("--k", type=int, default=10, help="fold count (default 10)")
+        p.add_argument("--ratio", help="ratio orientation NUM/DEN (default: first/second function)")
 
     p = add("figure", cmd_figure, "per-frequency-class proportions with running-median smoothing")
-    _add_corpus_opts(p)
     p.add_argument("--ratio", help="reference function as NUM/DEN (default: first/second)")
     p.add_argument("--smooth-window", type=int, default=5, help="odd window width (default 5)")
 
-    p = add("synth", cmd_synth, "generate a synthetic ambiguous corpus plus truth sidecar")
+    p = add("synth", cmd_synth, "generate a synthetic ambiguous corpus plus truth sidecar", corpus=False)
     p.add_argument("--n-types", type=int, required=True)
     p.add_argument("--zipf-exponent", type=float, default=1.0)
     p.add_argument("--target-tokens", type=int, required=True)
@@ -342,25 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth-out", help="truth sidecar path (default: <out>.truth.csv)")
     p.add_argument("--spec-out", help="also write the matching ambiguity-class file")
 
-    p = add("report", cmd_report, "cross-validation rendered as a runs-by-rows text table")
-    _add_corpus_opts(p)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--ratio", help="ratio orientation NUM/DEN (default: first/second function)")
-
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"hapaxprior: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
     except UsageError as exc:
         print(f"hapaxprior: {exc}", file=sys.stderr)
         return 1

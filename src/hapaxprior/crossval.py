@@ -165,10 +165,10 @@ def run_crossval(
     """Run all k folds and the paired ratio t-tests for both estimators.
 
     Per fold, the observed ratio is unseen_observed[num]/unseen_observed[den]
-    and each expected ratio uses the unrounded expected counts.  Any fold
-    error, or a zero denominator in any ratio, raises CrossValError naming
-    the fold; a k the corpus cannot be split into raises CrossValError with
-    fold None.
+    and each expected ratio uses the unrounded expected counts.  A fold error
+    raises CrossValError naming the fold; zero ratio denominators raise one
+    that lists every such fold with its counts and names the first.  A k the
+    corpus cannot be split into raises CrossValError with fold None.
     """
     spec = corpus.spec
     if ratio is None:
@@ -188,20 +188,23 @@ def run_crossval(
         except (ValueError, ArithmeticError) as exc:
             raise CrossValError(fold, str(exc)) from exc
 
-    observed: list[float] = []
-    ratios_o: list[float] = []
-    ratios_h: list[float] = []
+    # every fold with a zero ratio denominator, with the counts behind it
+    degenerate: dict[int, str] = {}
     for fr in folds:
-        for label, vec in (
-            ("observed", fr.unseen_observed),
-            ("overall-expected", fr.expected_o.real),
-            ("hapax-expected", fr.expected_h.real),
-        ):
-            if vec[den] == 0:
-                raise CrossValError(fr.run, f"zero denominator in {label} ratio {ratio[0]}/{ratio[1]}")
-        observed.append(fr.unseen_observed[num] / fr.unseen_observed[den])
-        ratios_o.append(fr.expected_o.real[num] / fr.expected_o.real[den])
-        ratios_h.append(fr.expected_h.real[num] / fr.expected_h.real[den])
+        unseen = [f"n0_{f}={c}" for f, c in zip(spec.functions, fr.unseen_observed)]
+        expected = [f"{name}_{ratio[1]}=0" for name, e in (("e_o", fr.expected_o), ("e_h", fr.expected_h))
+                    if e.real[den] == 0]
+        if fr.unseen_observed[den] == 0 or expected:
+            degenerate[fr.run] = " ".join(unseen + expected)
+    if degenerate:
+        raise CrossValError(
+            min(degenerate),
+            f"zero denominator in ratio {ratio[0]}/{ratio[1]} in {len(degenerate)} of {k} folds: "
+            + ", ".join(f"fold {run} ({counts})" for run, counts in degenerate.items()),
+        )
+    observed = [fr.unseen_observed[num] / fr.unseen_observed[den] for fr in folds]
+    ratios_o = [fr.expected_o.real[num] / fr.expected_o.real[den] for fr in folds]
+    ratios_h = [fr.expected_h.real[num] / fr.expected_h.real[den] for fr in folds]
 
     return CrossValReport(
         spec_name=spec.name,

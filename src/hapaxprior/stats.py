@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,18 +21,53 @@ class TTestResult:
     sd_diff: float
 
 
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta, by the modified Lentz
+    method (Numerical Recipes, section 6.4); converges for x < (a+1)/(a+b+2)."""
+    tiny = sys.float_info.min / sys.float_info.epsilon
+    # the first denominator is at least 2/(a+b+2) inside the convergent range
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 201):  # at most about 60 steps for any df and t
+        # the even then the odd step of the fraction
+        for aa in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                   -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + aa / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < sys.float_info.epsilon:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
+
+
 def two_sided_p(t: float, df: int) -> float:
     """P(|T| >= t) for Student's t with df degrees of freedom.
 
     Uses the identity P(|T| >= t) = I_x(df/2, 1/2) with x = df/(df + t^2),
-    where I is the regularized incomplete beta function.
+    where I is the regularized incomplete beta function.  Tails below the
+    smallest normal float are returned as 0.0; a NaN t gives NaN.
     """
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
-    # imported on first use: it would dominate the start-up of every command
-    from scipy.special import betainc
-
-    return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+    a, b = df / 2.0, 0.5
+    r = t * t / df
+    if math.isinf(r):
+        return 0.0
+    if r == 0.0:
+        return 1.0
+    # x = 1/(1 + r) and 1 - x = r/(1 + r), each without cancellation
+    x, y = 1.0 / (1.0 + r), r / (1.0 + r)
+    log_x = -math.log1p(r)
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * log_x + b * (math.log(r) + log_x)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        p = front * _beta_fraction(a, b, x) / a
+    else:
+        p = 1.0 - front * _beta_fraction(b, a, y) / b
+    return 0.0 if p < sys.float_info.min else p
 
 
 def paired_t(x: Sequence[float], y: Sequence[float]) -> TTestResult:

@@ -1,10 +1,19 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import os
 import random
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hapaxprior
 from hapaxprior.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 SPEC_TEXT = """\
@@ -390,3 +399,41 @@ class TestColumnarPipeline:
         from hapaxprior import load_class_spec, load_corpus
         load_corpus(corpus, load_class_spec(spec)).tokens
         assert built
+
+
+class TestNoScipy:
+    def test_crossval_and_report_import_no_scipy(self, tmp_path):
+        spec = write_spec(tmp_path)
+        corpus = write_corpus(tmp_path, crossval_pairs())
+        script = (
+            "import sys\n"
+            "from hapaxprior.cli import main\n"
+            "for command in ('crossval', 'report'):\n"
+            f"    assert main([command, '--corpus', {corpus!r}, '--class-spec', {spec!r}, '--k', '5']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(hapaxprior.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
+
+class TestReadme:
+    def readme_commands(self):
+        """Every `hapaxprior` command of the README's command-line example."""
+        blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        block = next(b for b in blocks if "hapaxprior synth" in b)
+        lines = block.replace("\\\n", " ").splitlines()
+        return [shlex.split(line) for line in lines if line.startswith("hapaxprior ")]
+
+    def test_every_readme_command_exits_0(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        commands = self.readme_commands()
+        assert [argv[1] for argv in commands] == [
+            "synth", "spectrum", "priors", "crossval", "report", "figure",
+        ]
+        for argv in commands:
+            code, _, err = run(capsys, *argv[1:])
+            assert code == 0, (argv, err)

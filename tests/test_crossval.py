@@ -236,6 +236,39 @@ class TestRunCrossval:
         with pytest.raises(CrossValError, match="zero denominator"):
             run_crossval(corpus, k=2, seed=1, ratio=("a", "b"))
 
+    @pytest.mark.parametrize("rare_b", [1, 3])
+    def test_every_zero_denominator_fold_is_listed(self, ab_spec, rare_b):
+        # a fold without one of the rare b types observes no unseen b; the
+        # fold holding the only rare b type has no b hapax in training, so
+        # its hapax-expected b count is zero
+        pairs = [(f"r{i}", 0) for i in range(20)] + [(f"s{i}", 1) for i in range(rare_b)]
+        pairs += [("F", 1)] * 10 + [("G", 0)] * 10
+        corpus = corpus_of(ab_spec, pairs)
+        plan = make_folds(corpus, 5, 0)
+        wants = [oracles.fold_bookkeeping(pairs, plan.assignments, fold, 2) for fold in range(1, 6)]
+        zero_den = [
+            fold for fold, want in enumerate(wants, start=1)
+            if 0 in (want["unseen"][1], want["expected_o"][1], want["expected_h"][1])
+        ]
+        assert len(zero_den) >= 2
+        with pytest.raises(CrossValError, match="zero denominator") as exc_info:
+            run_crossval(corpus, 5, 0)
+        message = str(exc_info.value)
+        assert exc_info.value.fold == zero_den[0]
+        assert "\n" not in message
+        assert f"in {len(zero_den)} of 5 folds: " in message
+        for fold, want in enumerate(wants, start=1):
+            zero_expected = "".join(
+                f" {name}_b=0" for name, key in (("e_o", "expected_o"), ("e_h", "expected_h"))
+                if want[key][1] == 0
+            )
+            listed = f"fold {fold} (n0_a={want['unseen'][0]} n0_b={want['unseen'][1]}{zero_expected})"
+            assert (listed in message) == (fold in zero_den), (fold, message)
+        if rare_b == 1:
+            assert "e_h_b=0" in message
+        else:
+            assert len(zero_den) < 5
+
 
 class TestRunCrossvalMatchesOracle:
     """Every fold of run_crossval, whose training tables are the whole-corpus

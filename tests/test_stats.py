@@ -1,6 +1,7 @@
 """Paired t-test and the t-distribution tail."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -67,6 +68,25 @@ class TestTail:
     def test_rejects_bad_df(self):
         with pytest.raises(ValueError):
             two_sided_p(1.0, 0)
+
+    def test_nan_t_gives_nan(self):
+        assert math.isnan(two_sided_p(float("nan"), 9))
+
+    def test_matches_scipy_incomplete_beta_at_printed_precision(self):
+        special = pytest.importorskip("scipy.special")
+        dfs = [*range(1, 61), 99, 100, 199, 200, 499, 999, 1000]
+        # t from 0 to 2e10, dense enough to reach the tails where scipy gives 0.0
+        ts = [0.0] + [10 ** (i / 100) for i in range(-400, 1031)]
+        checked = zeros = 0
+        for df in dfs:
+            for t in ts:
+                want = float(special.betainc(df / 2.0, 0.5, df / (df + t * t)))
+                if 0.0 < want < sys.float_info.min:
+                    continue  # scipy's subnormal tails; two_sided_p gives 0.0 there
+                assert f"{two_sided_p(t, df):.6g}" == f"{want:.6g}", (df, t)
+                checked += 1
+                zeros += want == 0.0
+        assert checked > 90_000 and zeros > 1_000, (checked, zeros)
 
 
 class TestPairedT:
