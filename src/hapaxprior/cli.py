@@ -13,7 +13,7 @@ import csv
 import io
 import sys
 from contextlib import contextmanager
-from pathlib import Path
+from dataclasses import fields
 from typing import IO, Callable, Iterator, Sequence
 
 from .corpus import (
@@ -22,12 +22,13 @@ from .corpus import (
     TaggedCorpus,
     load_class_spec,
     load_corpus,
+    read_line_list,
     save_class_spec,
     save_corpus,
 )
 from .crossval import CrossValError, FoldResult, run_crossval
 from .estimators import EstimationError, backoff_prior
-from .spectrum import build_spectrum, class_proportions, hapaxes, running_median
+from .spectrum import build_spectrum, class_proportions, running_median
 from .stats import DegenerateTTestError
 from .synth import SynthSpec, generate, save_truth
 
@@ -85,12 +86,11 @@ def _load(args: argparse.Namespace) -> TaggedCorpus:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     corpus = _load(args)
     table = build_spectrum(corpus)
-    hapax_types = hapaxes(table)
     with _out_stream(args.out) as out:
         out.write(_header(args))
         out.write(
-            f"# types={len(table.types)} tokens={table.n_tokens}"
-            f" hapax_types={len(hapax_types)} dropped={corpus.dropped}\n"
+            f"# types={(table.type_totals > 0).sum()} tokens={table.n_tokens}"
+            f" hapax_types={(table.type_totals == 1).sum()} dropped={corpus.dropped}\n"
         )
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["function", "tokens", "hapax_tokens"])
@@ -104,14 +104,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def _gather_forms(args: argparse.Namespace) -> list[str]:
     forms = list(args.form or [])
     if args.forms_file:
-        try:
-            raw = Path(args.forms_file).read_text(encoding="utf-8-sig")
-        except OSError as exc:
-            raise CorpusFormatError(f"cannot read forms file {args.forms_file}: {exc}") from exc
-        forms.extend(
-            line.strip() for line in raw.splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        )
+        forms.extend(line for _, line in read_line_list(args.forms_file, "forms file"))
     if not forms:
         raise UsageError("priors needs at least one --form or a --forms-file")
     return forms
@@ -231,29 +224,23 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.out == "-":
         raise UsageError("synth writes a corpus file plus a truth sidecar; --out must be a path")
     labels = tuple(f.strip() for f in args.functions.split(",") if f.strip())
+    # every SynthSpec field, in field order; the options carry the same names
+    params = {f.name: getattr(args, f.name) for f in fields(SynthSpec)} | {"functions": labels}
     try:
-        spec = SynthSpec(
-            n_types=args.n_types,
-            zipf_exponent=args.zipf_exponent,
-            target_tokens=args.target_tokens,
-            p_high=args.p_high,
-            p_low=args.p_low,
-            seed=args.seed,
-            functions=labels,  # type: ignore[arg-type]
-        )
+        spec = SynthSpec(**params)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     corpus, truth = generate(spec)
     header = _header(args, [
-        ("n_types", spec.n_types), ("zipf_exponent", spec.zipf_exponent),
-        ("target_tokens", spec.target_tokens), ("p_high", spec.p_high),
-        ("p_low", spec.p_low), ("functions", ",".join(spec.functions)),
+        (name, ",".join(value) if name == "functions" else value)
+        for name, value in params.items() if name != "seed"
     ]).strip("#\n ")
-    save_corpus(corpus, args.out, header=header)
+    # --out last, so a failed sidecar write leaves no --out behind
     truth_out = args.truth_out or f"{args.out}.truth.csv"
     save_truth(truth, truth_out)
     if args.spec_out:
         save_class_spec(corpus.spec, args.spec_out)
+    save_corpus(corpus, args.out, header=header)
     print(
         f"wrote {len(corpus)} tokens over {spec.n_types} types to {args.out};"
         f" truth sidecar: {truth_out}",

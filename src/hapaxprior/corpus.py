@@ -176,6 +176,20 @@ class TaggedCorpus:
         )
 
 
+def read_line_list(path: str | Path, what: str) -> list[tuple[int, str]]:
+    """The numbered, stripped lines of a text file except blank and '#' lines;
+    an unreadable file raises CorpusFormatError("cannot read <what> <path>: ...")."""
+    try:
+        raw = Path(path).read_text(encoding="utf-8-sig")
+    except OSError as exc:
+        raise CorpusFormatError(f"cannot read {what} {path}: {exc}") from exc
+    return [
+        (no, line.strip())
+        for no, line in enumerate(raw.splitlines(), start=1)
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+
+
 def load_class_spec(path: str | Path) -> ClassSpec:
     """Read an ambiguity-class file.
 
@@ -188,16 +202,7 @@ def load_class_spec(path: str | Path) -> ClassSpec:
         ...
     """
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise CorpusFormatError(f"cannot read class spec {path}: {exc}") from exc
-
-    lines = [
-        (no, line.strip())
-        for no, line in enumerate(raw.splitlines(), start=1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    lines = read_line_list(path, "class spec")
     if len(lines) < 4:
         raise CorpusFormatError(f"{path}: expected name=, suffix=, functions= and map lines")
 

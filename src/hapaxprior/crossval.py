@@ -10,7 +10,7 @@ import numpy as np
 
 from .corpus import TaggedCorpus, shuffled_order
 from .estimators import ExpectedCounts, PriorEstimate, expected_unseen_counts, hapax_mle, overall_mle
-from .spectrum import SpectrumTable
+from .spectrum import SpectrumTable, count_table
 from .stats import TTestResult, paired_t
 
 
@@ -38,6 +38,8 @@ class FoldPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "assignments", tuple(self.assignments))
+        if self.assignments and not 1 <= min(self.assignments) <= max(self.assignments) <= self.k:
+            raise ValueError(f"fold assignments must lie in 1..{self.k}")
 
     def fold_sizes(self) -> list[int]:
         sizes = [0] * self.k
@@ -108,30 +110,21 @@ def _fold_scorer(corpus: TaggedCorpus, plan: FoldPlan) -> Callable[[int], FoldRe
     if len(plan.assignments) != len(corpus):
         raise ValueError("plan does not cover this corpus")
     n = corpus.spec.n_functions
-    size = len(corpus.forms) * n
-    cells = corpus.form_ids * n + corpus.functions
-    full = np.bincount(cells, minlength=size)
+    full = count_table(corpus)
     assignments = np.array(plan.assignments, dtype=np.int64)
 
     def score(fold: int) -> FoldResult:
-        held_out = cells[assignments == fold]
-        train = (full - np.bincount(held_out, minlength=size)).reshape(-1, n)
-        type_totals = train.sum(axis=1)
-        # the estimators read only the totals of a table
-        table = SpectrumTable(
-            spec=corpus.spec,
-            types={},
-            token_totals=tuple(train.sum(axis=0).tolist()),
-            hapax_totals=tuple(train[type_totals == 1].sum(axis=0).tolist()),
-        )
-        omle = overall_mle(table)
-        hmle = hapax_mle(table)
-        unseen = np.bincount(held_out[type_totals[held_out // n] == 0] % n, minlength=n)
+        held_out = np.flatnonzero(assignments == fold)
+        train = SpectrumTable.from_counts(corpus.spec, corpus.forms, full - count_table(corpus, held_out))
+        omle = overall_mle(train)
+        hmle = hapax_mle(train)
+        unseen_tokens = held_out[train.type_totals[corpus.form_ids[held_out]] == 0]
+        unseen = np.bincount(corpus.functions[unseen_tokens], minlength=n)
         n_unseen = int(unseen.sum())
         return FoldResult(
             run=fold,
-            train_totals=table.token_totals,
-            hapax_totals=table.hapax_totals,
+            train_totals=train.token_totals,
+            hapax_totals=train.hapax_totals,
             omle=omle,
             hmle=hmle,
             unseen_observed=tuple(unseen.tolist()),

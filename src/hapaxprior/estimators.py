@@ -88,13 +88,15 @@ def hapax_mle(table: SpectrumTable) -> PriorEstimate:
 
 def form_mle(table: SpectrumTable, form: str) -> PriorEstimate:
     """Relative function frequencies of one seen form."""
-    tc = table.types.get(form)
-    if tc is None:
+    row = table.rows.get(form)
+    per_function = () if row is None else table.counts[row].tolist()
+    total = sum(per_function)
+    if total == 0:
         raise UnseenFormError(f"form {form!r} not in table")
     return PriorEstimate(
-        probabilities=tuple(c / tc.total for c in tc.per_function),
+        probabilities=tuple(c / total for c in per_function),
         source="form",
-        support=tc.total,
+        support=total,
     )
 
 
@@ -106,8 +108,8 @@ def backoff_prior(table: SpectrumTable, form: str, threshold: int = 1) -> PriorE
     """
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
-    tc = table.types.get(form)
-    if tc is not None and tc.total >= threshold:
+    row = table.rows.get(form)
+    if row is not None and table.type_totals[row] >= threshold:
         est = form_mle(table, form)
         return PriorEstimate(est.probabilities, "backoff-form", est.support)
     est = hapax_mle(table)

@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -36,26 +38,60 @@ class TypeCount:
         return self.total == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SpectrumTable:
-    """Per-type counts plus the aggregate and hapax-only token totals.
+    """Token counts per form (rows of `counts`, in `forms` order; a row of
+    zeros is a form without tokens) and function (columns), with their row
+    sums (type_totals) and the aggregate and hapax-only token totals.
 
-    token_totals[f] sums per-function counts over all types; hapax_totals[f]
-    sums them over types with exactly one token.  build_spectrum guarantees
-    those sums; hand-built tables (e.g. from published totals) are trusted.
+    from_counts derives the totals; a table built from `types` (e.g. from
+    published totals) trusts the totals given.  types is a read-only view of
+    the forms with tokens as TypeCounts, built on first access.
     """
 
     spec: ClassSpec
-    types: Mapping[str, TypeCount]
+    forms: tuple[str, ...]
+    counts: np.ndarray
+    type_totals: np.ndarray
     token_totals: tuple[int, ...]
     hapax_totals: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "token_totals", tuple(self.token_totals))
-        object.__setattr__(self, "hapax_totals", tuple(self.hapax_totals))
-        n = self.spec.n_functions
-        if len(self.token_totals) != n or len(self.hapax_totals) != n:
+    def __init__(self, spec: ClassSpec, types: Mapping[str, TypeCount], token_totals, hapax_totals) -> None:
+        totals = tuple(token_totals), tuple(hapax_totals)
+        if any(len(t) != spec.n_functions for t in totals):
             raise ValueError("totals length must match the number of functions")
+        per_type = np.array([tc.per_function for tc in types.values()], dtype=np.int64)
+        self._set(spec, tuple(types), per_type.reshape(-1, spec.n_functions), totals)
+
+    @classmethod
+    def from_counts(cls, spec: ClassSpec, forms: Sequence[str], counts: np.ndarray) -> SpectrumTable:
+        """A table of (a copy of) `counts`, with its token and hapax totals derived."""
+        table = cls.__new__(cls)
+        table._set(spec, tuple(forms), counts)
+        return table
+
+    def _set(self, spec: ClassSpec, forms: tuple[str, ...], counts, totals=None) -> None:
+        counts = np.array(counts, dtype=np.int64)
+        if counts.shape != (len(forms), spec.n_functions) or (counts < 0).any():
+            raise ValueError(f"counts must be a non-negative {len(forms)} x {spec.n_functions} array")
+        type_totals = counts.sum(axis=1)
+        if totals is None:  # hapax_totals sums the rows of the forms with exactly one token
+            totals = counts.sum(axis=0).tolist(), ((type_totals == 1) @ counts).tolist()
+        counts.flags.writeable = type_totals.flags.writeable = False
+        for name, value in (("spec", spec), ("forms", forms), ("counts", counts), ("type_totals", type_totals),
+                            ("token_totals", tuple(totals[0])), ("hapax_totals", tuple(totals[1]))):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def types(self) -> Mapping[str, TypeCount]:
+        rows = np.flatnonzero(self.type_totals).tolist()
+        return MappingProxyType({self.forms[i]: TypeCount(self.forms[i], per)
+                                 for i, per in zip(rows, self.counts[rows].tolist())})
+
+    @cached_property
+    def rows(self) -> Mapping[str, int]:
+        """The row of each form in counts."""
+        return MappingProxyType({form: i for i, form in enumerate(self.forms)})
 
     @property
     def n_tokens(self) -> int:
@@ -79,24 +115,26 @@ class ClassProportionPoint:
         return math.log(self.frequency)
 
 
+def count_table(corpus: TaggedCorpus, select: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """Tokens per form (rows, in corpus.forms order) and function (columns)
+    among the tokens at `select` (positions or a mask; default all), read-only."""
+    n, n_forms = corpus.spec.n_functions, len(corpus.forms)
+    cells = corpus.functions[select] * n_forms + corpus.form_ids[select]
+    # column-major: each function's column is contiguous, which keeps row and column sums fast
+    counts = np.bincount(cells, minlength=n * n_forms).reshape(n, n_forms).T
+    counts.flags.writeable = False
+    return counts
+
+
 def build_spectrum(corpus: TaggedCorpus) -> SpectrumTable:
     """Aggregate a corpus into per-type counts and per-function totals."""
-    n = corpus.spec.n_functions
-    counts = np.bincount(
-        corpus.form_ids * n + corpus.functions, minlength=len(corpus.forms) * n
-    ).reshape(-1, n)
-    hapax = counts.sum(axis=1) == 1
-    return SpectrumTable(
-        spec=corpus.spec,
-        types={form: TypeCount(form, per) for form, per in zip(corpus.forms, counts.tolist())},
-        token_totals=tuple(counts.sum(axis=0).tolist()),
-        hapax_totals=tuple(counts[hapax].sum(axis=0).tolist()),
-    )
+    return SpectrumTable.from_counts(corpus.spec, corpus.forms, count_table(corpus))
 
 
 def hapaxes(table: SpectrumTable) -> list[TypeCount]:
     """The types occurring exactly once, in first-occurrence order."""
-    return [tc for tc in table.types.values() if tc.is_hapax]
+    rows = np.flatnonzero(table.type_totals == 1).tolist()
+    return [TypeCount(table.forms[i], per) for i, per in zip(rows, table.counts[rows].tolist())]
 
 
 def class_proportions(table: SpectrumTable, reference: str) -> list[ClassProportionPoint]:
@@ -107,14 +145,12 @@ def class_proportions(table: SpectrumTable, reference: str) -> list[ClassProport
     equals the hapax-based estimate of the reference function.
     """
     ref = table.spec.function_index(reference)
-    by_freq: dict[int, list[int]] = {}  # f -> [n_types, reference tokens]
-    for tc in table.types.values():
-        acc = by_freq.setdefault(tc.total, [0, 0])
-        acc[0] += 1
-        acc[1] += tc.per_function[ref]
+    n_types = np.bincount(table.type_totals)
+    ref_tokens = np.bincount(table.type_totals, weights=table.counts[:, ref])  # exact below 2**53
+    freqs = np.flatnonzero(n_types[1:]) + 1
     return [
-        ClassProportionPoint(frequency=f, n_types=n_types, proportion=ref_tokens / (f * n_types))
-        for f, (n_types, ref_tokens) in sorted(by_freq.items())
+        ClassProportionPoint(frequency=f, n_types=n, proportion=r / (f * n))
+        for f, n, r in zip(freqs.tolist(), n_types[freqs].tolist(), ref_tokens[freqs].tolist())
     ]
 
 

@@ -319,7 +319,7 @@ class TestDeterminismAndNonMutation:
     def test_inputs_not_mutated(self, tmp_path, capsys):
         spec = write_spec(tmp_path)
         corpus = write_corpus(tmp_path, crossval_pairs())
-        before = (open(corpus, "rb").read(), open(spec, "rb").read())
+        before = (Path(corpus).read_bytes(), Path(spec).read_bytes())
         for argv in (
             ["spectrum", "--corpus", corpus, "--class-spec", spec],
             ["priors", "--corpus", corpus, "--class-spec", spec, "--form", "hebben"],
@@ -329,7 +329,7 @@ class TestDeterminismAndNonMutation:
         ):
             assert main([*argv, "--out", str(tmp_path / "scratch.out")]) == 0
             capsys.readouterr()
-        assert (open(corpus, "rb").read(), open(spec, "rb").read()) == before
+        assert (Path(corpus).read_bytes(), Path(spec).read_bytes()) == before
 
 
 class TestFailedRuns:
@@ -360,6 +360,29 @@ class TestFailedRuns:
             assert existing.read_bytes() == b"earlier output\n", argv
         capsys.readouterr()
 
+    def test_unreadable_spec_or_forms_file_is_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        spec = write_spec(tmp_path)
+        corpus = write_corpus(tmp_path, [("lopen", 0), ("eten", 1)])
+        code, _, err = run(capsys, "spectrum", "--corpus", corpus, "--class-spec", "./absent.spec")
+        assert code == 2 and err.startswith("hapaxprior: cannot read class spec absent.spec: ")
+        code, _, err = run(capsys, "priors", "--corpus", corpus, "--class-spec", spec,
+                           "--forms-file", "./absent.txt")
+        assert code == 2 and err.startswith("hapaxprior: cannot read forms file ./absent.txt: ")
+
+    def test_failed_synth_sidecar_leaves_out_file_alone(self, tmp_path, capsys):
+        missing_dir = tmp_path / "absent"
+        for flag, target in (("--truth-out", "t.csv"), ("--spec-out", "s.spec")):
+            argv = ["synth", "--n-types", "50", "--target-tokens", "200", flag, str(missing_dir / target)]
+            fresh = tmp_path / "fresh.tsv"
+            code, _, err = run(capsys, *argv, "--out", str(fresh))
+            assert code == 2 and err.strip(), flag
+            assert not fresh.exists(), flag
+            existing = tmp_path / "existing.tsv"
+            existing.write_bytes(b"earlier corpus\n")
+            assert run(capsys, *argv, "--out", str(existing))[0] == 2
+            assert existing.read_bytes() == b"earlier corpus\n", flag
+
 
 class TestByteOrderMark:
     def test_bom_is_not_part_of_the_first_form_spec_or_forms_file(self, tmp_path, capsys):
@@ -376,7 +399,9 @@ class TestByteOrderMark:
 
 
 class TestColumnarPipeline:
-    def test_crossval_builds_no_per_token_or_per_type_objects(self, tmp_path, capsys, monkeypatch):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every TokenRecord and TypeCount constructed while the test runs."""
         from hapaxprior import TokenRecord, TypeCount
 
         built = []
@@ -389,6 +414,9 @@ class TestColumnarPipeline:
 
         for cls in (TokenRecord, TypeCount):
             monkeypatch.setattr(cls, "__post_init__", counted(cls.__post_init__))
+        return built
+
+    def test_crossval_builds_no_per_token_or_per_type_objects(self, tmp_path, capsys, built):
         spec = write_spec(tmp_path)
         corpus = write_corpus(tmp_path, crossval_pairs())
         for command in ("crossval", "report"):
@@ -398,6 +426,24 @@ class TestColumnarPipeline:
         # the patch is live: the tokens view does build records
         from hapaxprior import load_class_spec, load_corpus
         load_corpus(corpus, load_class_spec(spec)).tokens
+        assert built
+
+    def test_spectrum_figure_priors_build_no_per_token_or_per_type_objects(self, tmp_path, capsys, built):
+        from hapaxprior import build_spectrum, load_class_spec, load_corpus
+
+        spec = write_spec(tmp_path)
+        corpus = write_corpus(tmp_path, crossval_pairs())
+        for argv in (
+            ["spectrum"],
+            ["figure", "--smooth-window", "3"],
+            ["priors", "--form", "hebben", "--form", "rare3en", "--form", "neverseen",
+             "--threshold", "2"],
+        ):
+            code, _, err = run(capsys, *argv, "--corpus", corpus, "--class-spec", spec)
+            assert code == 0, (argv, err)
+        assert built == []
+        # the patch is live: the types view does build TypeCounts
+        assert build_spectrum(load_corpus(corpus, load_class_spec(spec))).types
         assert built
 
 

@@ -87,6 +87,13 @@ class TestMakeFolds:
         with pytest.raises(ValueError):
             make_folds(corpus, 4, 0)
 
+    def test_plan_rejects_assignments_outside_1_to_k(self):
+        for assignments in ((0, 1, 2, 2), (1, 2, 3), (-1, 1)):
+            with pytest.raises(ValueError, match="1..2"):
+                FoldPlan(k=2, seed=0, assignments=assignments)
+        assert FoldPlan(k=2, seed=0, assignments=(2, 1, 2)).fold_sizes() == [1, 2]
+        assert FoldPlan(k=3, seed=0, assignments=()).fold_sizes() == [0, 0, 0]
+
 
 class TestRunFold:
     def test_hand_traced_toy(self, ab_spec):

@@ -4,17 +4,23 @@ import math
 import random
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from hapaxprior import (
     SpectrumTable,
     TypeCount,
+    UnseenFormError,
+    backoff_prior,
     build_spectrum,
     class_proportions,
+    form_mle,
+    hapax_mle,
     hapaxes,
     running_median,
 )
+from hapaxprior.spectrum import count_table
 
 import oracles
 from conftest import corpus_of, random_pairs
@@ -81,6 +87,102 @@ class TestBuildSpectrum:
     def test_table_rejects_totals_of_wrong_arity(self, ab_spec):
         with pytest.raises(ValueError):
             SpectrumTable(spec=ab_spec, types={}, token_totals=(1,), hapax_totals=(0, 0))
+
+
+class TestCountTable:
+    def test_counts_selected_tokens(self, ab_spec):
+        rng = random.Random(5)
+        for _ in range(25):
+            pairs = random_pairs(rng)
+            corpus = corpus_of(ab_spec, pairs)
+            positions = sorted(rng.sample(range(len(pairs)), rng.randint(0, len(pairs))))
+            mask = np.zeros(len(pairs), dtype=bool)
+            mask[positions] = True
+            want = np.zeros((len(corpus.forms), 2), dtype=np.int64)
+            for i in positions:
+                want[corpus.forms.index(pairs[i][0]), pairs[i][1]] += 1
+            assert np.array_equal(count_table(corpus, np.array(positions, dtype=np.int64)), want)
+            assert np.array_equal(count_table(corpus, mask), want)
+        full = count_table(corpus)
+        assert full.dtype == np.int64 and not full.flags.writeable
+        assert [list(row) for row in full] == [oracles.count_form(pairs, f, 2) for f in corpus.forms]
+
+
+class TestFromCounts:
+    def table(self, ab_spec):
+        # "x" has no tokens, as a form held out of a training fold
+        return SpectrumTable.from_counts(ab_spec, ("x", "y", "z", "w"), [[0, 0], [1, 0], [2, 1], [0, 1]])
+
+    def test_totals_and_views_skip_empty_rows(self, ab_spec):
+        table = self.table(ab_spec)
+        assert table.token_totals == (3, 2) and table.hapax_totals == (1, 1)
+        assert list(table.type_totals) == [0, 1, 3, 1]
+        assert list(table.types) == ["y", "z", "w"]
+        assert table.types["z"] == TypeCount("z", (2, 1))
+        assert [tc.form for tc in hapaxes(table)] == ["y", "w"]
+        assert [(p.frequency, p.n_types) for p in class_proportions(table, "a")] == [(1, 2), (3, 1)]
+
+    def test_empty_row_is_an_unseen_form(self, ab_spec):
+        table = self.table(ab_spec)
+        with pytest.raises(UnseenFormError):
+            form_mle(table, "x")
+        assert backoff_prior(table, "x").source == "backoff-hapax"
+        assert form_mle(table, "z").support == 3
+
+    def test_counts_are_a_read_only_copy(self, ab_spec):
+        counts = np.array([[1, 0], [2, 2]])
+        table = SpectrumTable.from_counts(ab_spec, ("y", "z"), counts)
+        counts[0, 0] = 5
+        assert table.counts.tolist() == [[1, 0], [2, 2]]
+        with pytest.raises(ValueError):
+            table.counts[0, 0] = 5
+        with pytest.raises(TypeError):
+            table.types["q"] = TypeCount("q", (1, 0))
+
+    def test_rejects_bad_counts(self, ab_spec):
+        for forms, counts in ((("y",), [[1, 0, 0]]), (("y", "z"), [[1, 0]]), (("y",), [[2, -1]])):
+            with pytest.raises(ValueError):
+                SpectrumTable.from_counts(ab_spec, forms, counts)
+
+
+def outcome(estimator, *args):
+    """The estimate, or the type of the error the estimator raised."""
+    try:
+        return estimator(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestHandBuiltTable:
+    def test_matches_build_spectrum_on_random_corpora(self, ab_spec):
+        rng = random.Random(17)
+        for _ in range(50):
+            pairs = random_pairs(rng)
+            built = build_spectrum(corpus_of(ab_spec, pairs))
+            hand = SpectrumTable(
+                spec=ab_spec,
+                types={form: TypeCount(form, oracles.count_form(pairs, form, 2))
+                       for form in oracles.distinct_forms(pairs)},
+                token_totals=oracles.function_totals(pairs, 2),
+                hapax_totals=oracles.hapax_totals(pairs, 2),
+            )
+            assert hand.types == built.types
+            assert hapaxes(hand) == hapaxes(built)
+            for reference in ("a", "b"):
+                assert class_proportions(hand, reference) == class_proportions(built, reference)
+            for form in [*hand.types, "unseen"]:
+                assert outcome(form_mle, hand, form) == outcome(form_mle, built, form)
+                for threshold in (1, 2, 3):
+                    assert outcome(backoff_prior, hand, form, threshold) == \
+                        outcome(backoff_prior, built, form, threshold)
+
+    def test_given_totals_are_trusted(self, ab_spec):
+        hand = SpectrumTable(spec=ab_spec, types={"y": TypeCount("y", (1, 0))},
+                             token_totals=(70, 30), hapax_totals=(4, 6))
+        assert hand.token_totals == (70, 30) and hand.hapax_totals == (4, 6)
+        assert hapax_mle(hand).probabilities == pytest.approx((0.4, 0.6))
+        assert backoff_prior(hand, "y").source == "backoff-form"
+        assert [tc.form for tc in hapaxes(hand)] == ["y"]
 
 
 class TestClassProportions:
