@@ -70,6 +70,8 @@ def _parse_ratio(spec: ClassSpec, ratio: str | None) -> tuple[str, str]:
     parts = ratio.split("/")
     if len(parts) != 2 or not parts[0] or not parts[1]:
         raise UsageError(f"--ratio must look like NUM/DEN, got {ratio!r}")
+    if parts[0] == parts[1]:
+        raise UsageError(f"--ratio needs two different labels, got {ratio!r}")
     for label in parts:
         if label not in spec.functions:
             raise UsageError(f"--ratio label {label!r} is not a function of class {spec.name!r}")

@@ -181,7 +181,7 @@ def read_line_list(path: str | Path, what: str) -> list[tuple[int, str]]:
     an unreadable file raises CorpusFormatError("cannot read <what> <path>: ...")."""
     try:
         raw = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusFormatError(f"cannot read {what} {path}: {exc}") from exc
     return [
         (no, line.strip())
@@ -249,7 +249,7 @@ def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False) -> T
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8-sig").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusFormatError(f"cannot read corpus {path}: {exc}") from exc
 
     n = spec.n_functions
@@ -321,11 +321,13 @@ def save_class_spec(spec: ClassSpec, path: str | Path) -> None:
             fh.write(f"map {tag} {label}\n")
 
 
-def shuffled_order(n: int, seed: int) -> list[int]:
-    """The seeded permutation of range(n) that shuffle_tokens applies."""
+def shuffled_order(n: int, seed: int) -> np.ndarray:
+    """The seeded permutation of range(n) that shuffle_tokens applies (read-only int64)."""
     order = list(range(n))
     random.Random(seed).shuffle(order)
-    return order
+    permutation = np.fromiter(order, np.int64, n)
+    permutation.flags.writeable = False
+    return permutation
 
 
 def shuffle_tokens(corpus: TaggedCorpus, seed: int) -> TaggedCorpus:

@@ -23,29 +23,33 @@ class CrossValError(RuntimeError):
         self.fold = fold
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldPlan:
-    """Fold index (1..k) per original token position.
+    """Fold index (1..k) per token position, as a read-only 1-D int64 array.
 
-    Produced by seeding a shuffle and slicing the shuffled sequence into k
+    make_folds seeds a shuffle and slices the shuffled positions into k
     contiguous parts whose sizes differ by at most one; remainder tokens go
     one per fold to the lowest-indexed folds.
     """
 
     k: int
     seed: int
-    assignments: tuple[int, ...]
+    assignments: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "assignments", tuple(self.assignments))
-        if self.assignments and not 1 <= min(self.assignments) <= max(self.assignments) <= self.k:
+        assignments = np.array(self.assignments, dtype=np.int64)
+        if assignments.ndim != 1 or len(assignments) and not 1 <= assignments.min() <= assignments.max() <= self.k:
             raise ValueError(f"fold assignments must lie in 1..{self.k}")
+        assignments.flags.writeable = False
+        object.__setattr__(self, "assignments", assignments)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FoldPlan):
+            return NotImplemented
+        return (self.k, self.seed) == (other.k, other.seed) and np.array_equal(self.assignments, other.assignments)
 
     def fold_sizes(self) -> list[int]:
-        sizes = [0] * self.k
-        for a in self.assignments:
-            sizes[a - 1] += 1
-        return sizes
+        return np.bincount(self.assignments - 1, minlength=self.k).tolist()
 
 
 @dataclass(frozen=True)
@@ -85,8 +89,8 @@ class CrossValReport:
 def make_folds(corpus: TaggedCorpus, k: int, seed: int) -> FoldPlan:
     """Partition token positions into k near-equal folds, seeded.
 
-    Equivalent to shuffling the corpus with shuffle_tokens(corpus, seed) and
-    slicing the result contiguously.
+    The plan equals shuffling with shuffle_tokens(corpus, seed) and slicing
+    the result contiguously; its assignments are a read-only int64 array.
     """
     n = len(corpus)
     if k < 2:
@@ -97,7 +101,7 @@ def make_folds(corpus: TaggedCorpus, k: int, seed: int) -> FoldPlan:
     sizes = [base + (1 if fold <= extra else 0) for fold in range(1, k + 1)]
     assignments = np.empty(n, dtype=np.int64)
     assignments[shuffled_order(n, seed)] = np.repeat(np.arange(1, k + 1), sizes)
-    return FoldPlan(k=k, seed=seed, assignments=tuple(assignments.tolist()))
+    return FoldPlan(k=k, seed=seed, assignments=assignments)
 
 
 def _fold_scorer(corpus: TaggedCorpus, plan: FoldPlan) -> Callable[[int], FoldResult]:
@@ -111,10 +115,9 @@ def _fold_scorer(corpus: TaggedCorpus, plan: FoldPlan) -> Callable[[int], FoldRe
         raise ValueError("plan does not cover this corpus")
     n = corpus.spec.n_functions
     full = count_table(corpus)
-    assignments = np.array(plan.assignments, dtype=np.int64)
 
     def score(fold: int) -> FoldResult:
-        held_out = np.flatnonzero(assignments == fold)
+        held_out = np.flatnonzero(plan.assignments == fold)
         train = SpectrumTable.from_counts(corpus.spec, corpus.forms, full - count_table(corpus, held_out))
         omle = overall_mle(train)
         hmle = hapax_mle(train)

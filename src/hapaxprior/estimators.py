@@ -78,7 +78,10 @@ def hapax_mle(table: SpectrumTable) -> PriorEstimate:
     """Relative function frequencies among the hapax legomena only."""
     n1 = table.n_hapax_tokens
     if n1 == 0:
-        raise NoHapaxesError("hapax-based estimator undefined: table has no hapaxes")
+        raise NoHapaxesError(
+            "hapax-based estimator undefined: no form occurs exactly once among"
+            f" {table.n_tokens} tokens of {(table.type_totals > 0).sum()} types"
+        )
     return PriorEstimate(
         probabilities=tuple(c / n1 for c in table.hapax_totals),
         source="hapax",

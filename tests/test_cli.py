@@ -75,6 +75,9 @@ class TestExitCodes:
             ["synth", "--n-types", "10", "--target-tokens", "5", "--out",
              str(tmp_path / "s.tsv")],  # infeasible
             ["synth", "--n-types", "10", "--target-tokens", "20"],  # out is stdout
+            ["synth", "--n-types", "10", "--target-tokens", "20", "--seed", "-1", "--out",
+             str(tmp_path / "s.tsv")],
+            ["crossval", "--corpus", corpus, "--class-spec", spec, "--ratio", "inf/inf"],
         ]
         for argv in cases:
             code, out, err = run(capsys, *argv)
@@ -88,10 +91,19 @@ class TestExitCodes:
         nohapax = write_corpus(
             tmp_path, [("lopen", 0)] * 6 + [("eten", 1)] * 6, name="nohapax.tsv"
         )
+        latin1 = tmp_path / "latin1.tsv"
+        latin1.write_bytes(b"lop\xffen\tV(inf)\n")
+        latin1_spec = tmp_path / "latin1.spec"
+        latin1_spec.write_bytes(SPEC_TEXT.encode() + b"map V(\xff) inf\n")
+        latin1_forms = tmp_path / "latin1.txt"
+        latin1_forms.write_bytes(b"lop\xffen\n")
         cases = [
             ["spectrum", "--corpus", str(tmp_path / "absent.tsv"), "--class-spec", spec],
             ["spectrum", "--corpus", str(bad), "--class-spec", spec],
             ["crossval", "--corpus", nohapax, "--class-spec", spec, "--k", "2"],
+            ["spectrum", "--corpus", str(latin1), "--class-spec", spec],
+            ["spectrum", "--corpus", nohapax, "--class-spec", str(latin1_spec)],
+            ["priors", "--corpus", nohapax, "--class-spec", spec, "--forms-file", str(latin1_forms)],
         ]
         for argv in cases:
             code, out, err = run(capsys, *argv)
@@ -369,6 +381,31 @@ class TestFailedRuns:
         code, _, err = run(capsys, "priors", "--corpus", corpus, "--class-spec", spec,
                            "--forms-file", "./absent.txt")
         assert code == 2 and err.startswith("hapaxprior: cannot read forms file ./absent.txt: ")
+
+    def test_non_utf8_file_is_a_one_line_data_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path)
+        corpus = write_corpus(tmp_path, [("lopen", 0), ("eten", 1)])
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(b"lop\xffen\tV(inf)\n")
+        for argv, what in (
+            (["spectrum", "--corpus", str(latin1), "--class-spec", spec], "corpus"),
+            (["spectrum", "--corpus", corpus, "--class-spec", str(latin1)], "class spec"),
+            (["priors", "--corpus", corpus, "--class-spec", spec, "--forms-file", str(latin1)], "forms file"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", what
+            assert err.count("\n") == 1, what
+            assert err.startswith(f"hapaxprior: cannot read {what} {latin1}: 'utf-8' codec can't decode"), what
+
+    def test_no_hapaxes_fold_line_names_the_counts(self, tmp_path, capsys):
+        spec = write_spec(tmp_path)
+        nohapax = write_corpus(tmp_path, [("lopen", 0)] * 6 + [("eten", 1)] * 6)
+        code, out, err = run(capsys, "crossval", "--corpus", nohapax, "--class-spec", spec, "--k", "2")
+        assert code == 2 and out == ""
+        assert err == (
+            "hapaxprior: fold 1: hapax-based estimator undefined:"
+            " no form occurs exactly once among 6 tokens of 2 types\n"
+        )
 
     def test_failed_synth_sidecar_leaves_out_file_alone(self, tmp_path, capsys):
         missing_dir = tmp_path / "absent"

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -231,6 +232,23 @@ class TestShuffle:
     @given(n=st.integers(0, 200), seed=st.integers(0, 2**64 - 1))
     def test_shuffled_order_is_a_permutation(self, n, seed):
         assert sorted(shuffled_order(n, seed)) == list(range(n))
+
+    def test_shuffled_order_is_the_stdlib_shuffle_as_a_read_only_array(self):
+        # n = 0..3 and 2**j - 1, 2**j, 2**j + 1, where the bit length of the
+        # range drawn from changes; seeds of every size and sign
+        sizes = sorted({0, 1, 2, 3} | {2**j + d for j in range(1, 13) for d in (-1, 0, 1)})
+        seeds = [0, 1, 2, 7, 42, -1, -12345, 2**31 - 1, 2**32, 2**63 + 5, 2**64 - 1, 3**50]
+        checked = 0
+        for n in sizes + [2**16 - 1, 2**16 + 1, 2**17 + 1]:
+            for seed in seeds if n <= 2**12 + 1 else seeds[:2]:
+                want = list(range(n))
+                random.Random(seed).shuffle(want)
+                order = shuffled_order(n, seed)
+                assert isinstance(order, np.ndarray) and order.dtype == np.int64 and order.shape == (n,)
+                assert not order.flags.writeable
+                assert order.tolist() == want, (n, seed)
+                checked += 1
+        assert checked > 400
 
     def test_preserves_multiset(self, ab_spec):
         rng = random.Random(3)

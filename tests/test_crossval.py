@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from hapaxprior import (
@@ -93,6 +94,24 @@ class TestMakeFolds:
                 FoldPlan(k=2, seed=0, assignments=assignments)
         assert FoldPlan(k=2, seed=0, assignments=(2, 1, 2)).fold_sizes() == [1, 2]
         assert FoldPlan(k=3, seed=0, assignments=()).fold_sizes() == [0, 0, 0]
+
+    def test_assignments_are_a_read_only_int64_array(self, ab_spec):
+        corpus = corpus_of(ab_spec, [(f"w{i}", i % 2) for i in range(23)])
+        for plan in (make_folds(corpus, k=5, seed=3), FoldPlan(k=2, seed=0, assignments=[2, 1, 2])):
+            assert isinstance(plan.assignments, np.ndarray)
+            assert plan.assignments.dtype == np.int64 and plan.assignments.ndim == 1
+            with pytest.raises(ValueError):
+                plan.assignments[0] = 1
+            assert plan.fold_sizes() == [list(plan.assignments).count(f) for f in range(1, plan.k + 1)]
+        given = np.array([1, 2, 2])
+        plan = FoldPlan(k=2, seed=0, assignments=given)
+        given[0] = 2  # the plan holds its own copy
+        assert plan.assignments.tolist() == [1, 2, 2]
+        assert plan == FoldPlan(k=2, seed=0, assignments=(1, 2, 2))
+        assert plan != FoldPlan(k=2, seed=1, assignments=(1, 2, 2))
+        assert plan != FoldPlan(k=2, seed=0, assignments=(1, 2, 1))
+        with pytest.raises(ValueError, match="must lie in 1..2"):
+            FoldPlan(k=2, seed=0, assignments=[[1, 2], [2, 1]])
 
 
 class TestRunFold:

@@ -67,6 +67,14 @@ class TestOverallAndHapax:
         with pytest.raises(EstimationError):
             hapax_mle(table)
 
+    def test_no_hapaxes_message_names_the_counts(self, ab_spec):
+        corpus = corpus_of(ab_spec, [("xx", 0)] * 6 + [("yy", 1)] * 6)
+        with pytest.raises(NoHapaxesError) as info:
+            hapax_mle(build_spectrum(corpus))
+        assert str(info.value) == (
+            "hapax-based estimator undefined: no form occurs exactly once among 12 tokens of 2 types"
+        )
+
 
 class TestFormMLE:
     def test_seen_form(self, ab_spec):

@@ -30,6 +30,7 @@ class TestSpecValidation:
             dict(good, p_low=-0.1),
             dict(good, functions=("a", "a")),
             dict(good, functions=("a",)),
+            dict(good, seed=-1),
         ):
             with pytest.raises(ValueError):
                 SynthSpec(**bad)
