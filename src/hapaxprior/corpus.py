@@ -1,17 +1,17 @@
 """Tagged-corpus loading and projection onto an ambiguity class.
 
-The corpus format is one token per line, ``form<TAB>tag``; lines starting
-with ``#`` are comments and blank lines are ignored.  An ambiguity class
-declares which surface forms and tags take part (e.g. Dutch forms in -en
-that are either infinitives or finite plurals) and maps corpus tags onto a
-small set of function labels.
+The corpus format is one ``form<TAB>tag`` token per ``str.splitlines()`` line;
+blank lines and lines whose first non-blank character is ``#`` are ignored.
+An ambiguity class declares which surface forms and tags take part (e.g.
+Dutch forms in -en that are either infinitives or finite plurals) and maps
+corpus tags onto a small set of function labels.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -58,14 +58,6 @@ class ClassSpec:
             return self.functions.index(label)
         except ValueError:
             raise KeyError(f"unknown function label {label!r} for class {self.name!r}") from None
-
-    def tag_for(self, function: int) -> str:
-        """First corpus tag mapping to the given function (for serialization)."""
-        label = self.functions[function]
-        for tag, target in self.tag_map.items():
-            if target == label:
-                return tag
-        raise KeyError(label)  # unreachable: __post_init__ guarantees coverage
 
 
 @dataclass(frozen=True)
@@ -176,16 +168,20 @@ class TaggedCorpus:
         )
 
 
-def read_line_list(path: str | Path, what: str) -> list[tuple[int, str]]:
-    """The numbered, stripped lines of a text file except blank and '#' lines;
-    an unreadable file raises CorpusFormatError("cannot read <what> <path>: ...")."""
+def _read_lines(path: str | Path, what: str) -> list[str]:
+    """The str.splitlines() lines of a UTF-8 file, a leading byte-order mark
+    dropped; an unreadable file raises CorpusFormatError("cannot read <what> <path>: ...")."""
     try:
-        raw = Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise CorpusFormatError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_line_list(path: str | Path, what: str) -> list[tuple[int, str]]:
+    """The numbered, stripped lines of a text file except blank and '#' lines."""
     return [
         (no, line.strip())
-        for no, line in enumerate(raw.splitlines(), start=1)
+        for no, line in enumerate(_read_lines(path, what), start=1)
         if line.strip() and not line.lstrip().startswith("#")
     ]
 
@@ -247,46 +243,34 @@ def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False) -> T
     ignored.
     """
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8-sig").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CorpusFormatError(f"cannot read corpus {path}: {exc}") from exc
-
+    lines = _read_lines(path, "corpus")
     n = spec.n_functions
     function_of = {tag: spec.function_index(label) for tag, label in spec.tag_map.items()}
     index: dict[str, int] = {}
-    # A line's code is its cell form_id * n + function if kept, else
-    # _DROPPED or _SKIPPED.  Each distinct line is parsed once; repeats of a
-    # line reuse its code.
-    codes: dict[str, int] = {}
-    per_line: list[int] = []
-    for line in lines:
-        code = codes.get(line)
-        if code is None:
-            head = line.lstrip()
-            if not head or head[0] == "#":
-                code = _SKIPPED
-            else:
-                fields = line.split("\t")
-                form = fields[0].strip()
-                if len(fields) != 2 or not form:
-                    # the first bad line: an earlier copy would have failed first
-                    no = lines.index(line) + 1
-                    if len(fields) != 2:
-                        raise CorpusFormatError(
-                            f"{path}:{no}: expected 'form<TAB>tag', got {len(fields)} fields"
-                        )
-                    raise CorpusFormatError(f"{path}:{no}: empty form")
-                if fold_case:
-                    form = form.lower()
-                function = function_of.get(fields[1].strip())
-                if function is None or not form.endswith(spec.suffix):
-                    code = _DROPPED
-                else:
-                    code = index.setdefault(form, len(index)) * n + function
-            codes[line] = code
-        per_line.append(code)
-    cells = np.array(per_line, dtype=np.int64)
+
+    @cache
+    def code(line: str) -> int:
+        """The line's cell form_id * n + function if kept, else _DROPPED or
+        _SKIPPED; memoised, so each distinct line is parsed once."""
+        head = line.lstrip()
+        if not head or head[0] == "#":
+            return _SKIPPED
+        fields = line.split("\t")
+        form = fields[0].strip()
+        if len(fields) != 2 or not form:
+            # the first bad line: an earlier copy would have failed first
+            no = lines.index(line) + 1
+            if len(fields) != 2:
+                raise CorpusFormatError(f"{path}:{no}: expected 'form<TAB>tag', got {len(fields)} fields")
+            raise CorpusFormatError(f"{path}:{no}: empty form")
+        if fold_case:
+            form = form.lower()
+        function = function_of.get(fields[1].strip())
+        if function is None or not form.endswith(spec.suffix):
+            return _DROPPED
+        return index.setdefault(form, len(index)) * n + function
+
+    cells = np.fromiter(map(code, lines), np.int64, len(lines))
     form_ids, functions = np.divmod(cells[cells >= 0], n)
     return TaggedCorpus.from_columns(
         spec, tuple(index), form_ids, functions, dropped=int(np.count_nonzero(cells == _DROPPED))
@@ -298,10 +282,16 @@ def save_corpus(corpus: TaggedCorpus, path: str | Path, header: str | None = Non
 
     Each function is serialized via its first mapped tag, so a reload under
     the same spec reproduces the token sequence.  `header`, if given, is
-    written first as a '#' comment line.
+    written first as a '#' comment line.  A form that would not read back as
+    itself (empty, padded, starting with '#' or a byte-order mark, holding a
+    tab or a line break) raises ValueError before the file is opened.
     """
-    tags = [corpus.spec.tag_for(i) for i in range(corpus.spec.n_functions)]
     forms = corpus.forms
+    for form in forms:
+        if form.strip().splitlines() != [form] or form.startswith(("#", "\ufeff")) or "\t" in form:
+            raise ValueError(f"cannot save form {form!r}: a reload would not read it back")
+    tag_map = corpus.spec.tag_map
+    tags = [next(tag for tag, target in tag_map.items() if target == label) for label in corpus.spec.functions]
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(f"# {header}\n")

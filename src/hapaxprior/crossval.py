@@ -164,13 +164,16 @@ def run_crossval(
     and each expected ratio uses the unrounded expected counts.  A fold error
     raises CrossValError naming the fold; zero ratio denominators raise one
     that lists every such fold with its counts and names the first.  A k the
-    corpus cannot be split into raises CrossValError with fold None.
+    corpus cannot be split into raises CrossValError with fold None; equal
+    ratio labels raise ValueError.
     """
     spec = corpus.spec
     if ratio is None:
         ratio = (spec.functions[0], spec.functions[1])
     num = spec.function_index(ratio[0])
     den = spec.function_index(ratio[1])
+    if num == den:
+        raise ValueError(f"ratio needs two different labels, got {ratio[0]!r}/{ratio[1]!r}")
 
     try:
         plan = make_folds(corpus, k, seed)

@@ -36,7 +36,7 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if self.n_types < 2:
             raise ValueError(f"n_types must be >= 2, got {self.n_types}")
-        if self.zipf_exponent <= 0:
+        if not self.zipf_exponent > 0:
             raise ValueError(f"zipf_exponent must be > 0, got {self.zipf_exponent}")
         if self.target_tokens < self.n_types:
             raise ValueError(

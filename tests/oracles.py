@@ -131,3 +131,38 @@ def fold_bookkeeping(tokens, assignments, fold, n_functions):
         "rounded_o": [round_half_up(x) for x in expected_o],
         "rounded_h": [round_half_up(x) for x in expected_h],
     }
+
+
+def load_lines(text, spec, fold_case):
+    """Parse the decoded text of a form<TAB>tag file line by line.
+
+    Returns a dict with the distinct kept forms in first-occurrence order,
+    each kept token's form id and function index, and the dropped count; or
+    a dict with the number and message of the first malformed line.
+    """
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    forms = []
+    form_ids = []
+    functions = []
+    dropped = 0
+    for no, line in enumerate(text.splitlines(), start=1):
+        if line.strip() == "" or line.strip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            return {"line": no, "error": f"expected 'form<TAB>tag', got {len(fields)} fields"}
+        form = fields[0].strip()
+        tag = fields[1].strip()
+        if form == "":
+            return {"line": no, "error": "empty form"}
+        if fold_case:
+            form = form.lower()
+        if tag not in spec.tag_map or not form.endswith(spec.suffix):
+            dropped += 1
+            continue
+        if form not in forms:
+            forms.append(form)
+        form_ids.append(forms.index(form))
+        functions.append(spec.functions.index(spec.tag_map[tag]))
+    return {"forms": forms, "form_ids": form_ids, "functions": functions, "dropped": dropped}

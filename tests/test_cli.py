@@ -78,6 +78,8 @@ class TestExitCodes:
             ["synth", "--n-types", "10", "--target-tokens", "20", "--seed", "-1", "--out",
              str(tmp_path / "s.tsv")],
             ["crossval", "--corpus", corpus, "--class-spec", spec, "--ratio", "inf/inf"],
+            ["synth", "--n-types", "10", "--target-tokens", "20", "--zipf-exponent", "nan",
+             "--out", str(tmp_path / "s.tsv")],
         ]
         for argv in cases:
             code, out, err = run(capsys, *argv)

@@ -1,6 +1,7 @@
 """Class-spec and corpus file handling, plus the seeded shuffle."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hapaxprior import (
 )
 from hapaxprior.corpus import shuffled_order
 
+import oracles
 from conftest import corpus_of
 
 
@@ -153,6 +155,23 @@ class TestLoadCorpus:
         again = load_corpus(out, spec)
         assert again.tokens == corpus.tokens
 
+    @pytest.mark.parametrize("form", [
+        " x", "x ", "#x", "x\ty", "x\u2028y", "x\x0by", "x\r\ny", "x\n", "x\x85", "\ufeffx",
+    ])
+    def test_save_refuses_a_form_it_cannot_write(self, tmp_path, ab_spec, form):
+        corpus = TaggedCorpus.from_columns(ab_spec, ("a", form), [0, 1], [0, 1])
+        out = tmp_path / "out.tsv"
+        with pytest.raises(ValueError, match=re.escape(repr(form))):
+            save_corpus(corpus, out)
+        assert not out.exists()
+
+    def test_save_then_load_keeps_unusual_forms(self, tmp_path, ab_spec):
+        forms = ("x y", "x#", "\u00e9", "x\x00y", "x\u00a0y", "\u200bx")
+        corpus = TaggedCorpus.from_columns(ab_spec, forms, range(6), [0, 1] * 3)
+        out = tmp_path / "out.tsv"
+        save_corpus(corpus, out)
+        assert load_corpus(out, ab_spec) == corpus
+
 
 class TestRecords:
     def test_token_record_validates(self):
@@ -189,6 +208,47 @@ class TestColumns:
         path.write_text("lopen\tV(inf)\nbad\nlopen\tV(pl)\nbad\n")
         with pytest.raises(CorpusFormatError, match=r"corpus\.tsv:2: expected"):
             load_corpus(path, en_spec)
+
+    # one-line pieces of a random corpus file; the bad ones are drawn rarely
+    GOOD_LINES = [
+        "lopen\tV(inf)", "lopen\tV(pl)", "Lopen\tV(inf)", "LOPEN\tV(pl)", "werken\tV(pl)",
+        " werken \t V(inf) ", "\u00a0eten\tV(pl)\u00a0", "huis\tV(inf)", "lopen\tX", "eten\tV(pl) x",
+        "", "   ", "\u00a0", "# comment", "  # indented\tcomment", "#lopen\tV(inf)",
+    ]
+    BAD_LINES = ["\tV(inf)", "  \tV(pl)", "no tab here", "a\tb\tc", "lopen\tV(inf)\t"]
+    BREAKS = ["\n", "\r\n", "\r", "\v", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    def random_corpus_text(self, rng):
+        lines = [rng.choice(self.GOOD_LINES) for _ in range(rng.randint(0, 30))]
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            bad = rng.choice(self.BAD_LINES)
+            for _ in range(rng.randint(1, 2)):
+                lines.insert(rng.randint(0, len(lines)), bad)
+        text = "".join(line + rng.choice(self.BREAKS) for line in lines)
+        if rng.random() < 0.5:
+            text = text[:-1]
+        return ("\ufeff" if rng.random() < 0.3 else "") + text
+
+    def test_load_matches_a_line_by_line_oracle(self, tmp_path, en_spec):
+        rng = random.Random(20)
+        path = tmp_path / "corpus.tsv"
+        errors = 0
+        for _ in range(300):
+            text = self.random_corpus_text(rng)
+            fold_case = rng.random() < 0.5
+            path.write_bytes(text.encode("utf-8"))
+            want = oracles.load_lines(text, en_spec, fold_case)
+            if "error" in want:
+                errors += 1
+                with pytest.raises(CorpusFormatError) as exc_info:
+                    load_corpus(path, en_spec, fold_case=fold_case)
+                assert str(exc_info.value) == f"{path}:{want['line']}: {want['error']}", repr(text)
+                continue
+            corpus = load_corpus(path, en_spec, fold_case=fold_case)
+            got = {"forms": list(corpus.forms), "form_ids": corpus.form_ids.tolist(),
+                   "functions": corpus.functions.tolist(), "dropped": corpus.dropped}
+            assert got == want, repr(text)
+        assert 50 < errors < 250
 
     def test_from_columns_matches_tokens_and_is_read_only(self, ab_spec):
         corpus = TaggedCorpus.from_columns(ab_spec, ("x", "y"), [0, 1, 0], [1, 0, 0], dropped=2)

@@ -242,6 +242,11 @@ class TestRunCrossval:
         with pytest.raises(KeyError):
             run_crossval(corpus, k=2, seed=0, ratio=("a", "zzz"))
 
+    def test_equal_ratio_labels(self, ab_spec):
+        corpus = hapax_rich_corpus(ab_spec, random.Random(3))
+        with pytest.raises(ValueError, match="'a'/'a'"):
+            run_crossval(corpus, k=2, seed=0, ratio=("a", "a"))
+
     def test_deterministic(self, ab_spec):
         corpus = hapax_rich_corpus(ab_spec, random.Random(13), n=80)
         assert run_crossval(corpus, 4, 21) == run_crossval(corpus, 4, 21)

@@ -25,6 +25,7 @@ class TestSpecValidation:
         for bad in (
             dict(good, n_types=1),
             dict(good, zipf_exponent=0.0),
+            dict(good, zipf_exponent=float("nan")),
             dict(good, target_tokens=9),
             dict(good, p_high=1.5),
             dict(good, p_low=-0.1),
