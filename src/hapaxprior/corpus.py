@@ -284,7 +284,8 @@ def save_corpus(corpus: TaggedCorpus, path: str | Path, header: str | None = Non
     the same spec reproduces the token sequence.  `header`, if given, is
     written first as a '#' comment line.  A form that would not read back as
     itself (empty, padded, starting with '#' or a byte-order mark, holding a
-    tab or a line break) raises ValueError before the file is opened.
+    tab or a line break), or such a tag (padded, holding a tab or a line
+    break), raises ValueError before the file is opened.
     """
     forms = corpus.forms
     for form in forms:
@@ -292,6 +293,9 @@ def save_corpus(corpus: TaggedCorpus, path: str | Path, header: str | None = Non
             raise ValueError(f"cannot save form {form!r}: a reload would not read it back")
     tag_map = corpus.spec.tag_map
     tags = [next(tag for tag, target in tag_map.items() if target == label) for label in corpus.spec.functions]
+    for tag in tags:
+        if tag.strip() != tag or len(tag.splitlines()) > 1 or "\t" in tag:
+            raise ValueError(f"cannot save tag {tag!r}: a reload would not read it back")
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(f"# {header}\n")
@@ -302,7 +306,21 @@ def save_corpus(corpus: TaggedCorpus, path: str | Path, header: str | None = Non
 
 
 def save_class_spec(spec: ClassSpec, path: str | Path) -> None:
-    """Write an ambiguity-class file readable by load_class_spec."""
+    """Write an ambiguity-class file that load_class_spec reads back as spec.
+
+    A padded name or suffix, or one holding a line break, a function label
+    holding whitespace or a comma, and a tag holding whitespace raise
+    ValueError before the file is opened.
+    """
+    for what, value in (("name", spec.name), ("suffix", spec.suffix)):
+        if value.strip() != value or len(value.splitlines()) > 1:
+            raise ValueError(f"cannot save class {what} {value!r}: a reload would not read it back")
+    for label in spec.functions:
+        if label.split() != [label] or "," in label:
+            raise ValueError(f"cannot save function label {label!r}: a reload would not read it back")
+    for tag in spec.tag_map:
+        if tag.split() != [tag]:
+            raise ValueError(f"cannot save tag {tag!r}: a reload would not read it back")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"name={spec.name}\n")
         fh.write(f"suffix={spec.suffix}\n")
@@ -311,11 +329,93 @@ def save_class_spec(spec: ClassSpec, path: str | Path) -> None:
             fh.write(f"map {tag} {label}\n")
 
 
+def _swap_targets(rng: random.Random, n: int, dtype) -> np.ndarray:
+    """targets[i] = rng._randbelow(i + 1) for i = n-1 .. 1, drawn in that
+    order from rng's words as random.shuffle draws them (targets[0] is 0).
+
+    A draw for modulus m takes the top k = m.bit_length() bits of a word
+    and rejects them while >= m.  Within a run of equal k the words are
+    decided in blocks of at most b acceptances: before the block's b-th
+    acceptance the modulus is above m - b, so a value <= m - b is surely
+    accepted and one >= m surely rejected; only the values in between are
+    decided one by one.
+    """
+    targets = np.zeros(n, dtype)
+    words = np.empty(0, np.uint32)  # drawn, not yet used
+    m = n  # the modulus of the next draw, i + 1
+    while m >= 2:
+        k = m.bit_length()
+        low = 1 << (k - 1)
+        block = 8 << (k // 2)
+        while m >= low:
+            b = min(block, m - low + 1)
+            want = b * (1 << k) // (m - b + 1) + 16
+            if want > len(words):
+                more = max(want, min(m + m // 2, 1 << 20))
+                fresh = np.frombuffer(rng.getrandbits(32 * more).to_bytes(4 * more, "little"), "<u4")
+                words = np.concatenate((words, fresh))
+            r = words[:want] >> (32 - k)
+            accept = r <= m - b
+            between = np.flatnonzero((r > m - b) & (r < m))
+            decided = 0  # acceptances among the in-between values so far
+            for t, before, value in zip(between.tolist(), np.cumsum(accept)[between].tolist(),
+                                        r[between].tolist()):
+                if before + decided >= b:
+                    break
+                if value < m - before - decided:
+                    accept[t] = True
+                    decided += 1
+            taken = np.flatnonzero(accept)[:b]
+            targets[m - len(taken):m][::-1] = r[taken]
+            used = taken[-1] + 1 if len(taken) == b else want
+            words = words[used:]
+            m -= len(taken)
+    return targets
+
+
 def shuffled_order(n: int, seed: int) -> np.ndarray:
-    """The seeded permutation of range(n) that shuffle_tokens applies (read-only int64)."""
-    order = list(range(n))
-    random.Random(seed).shuffle(order)
-    permutation = np.fromiter(order, np.int64, n)
+    """The permutation random.Random(seed).shuffle(list(range(n))) leaves,
+    as a read-only int64 array; shuffle_tokens applies it.
+
+    That stdlib shuffle defines the permutation.  It is computed by
+    replaying the words of the same generator in numpy: step s (n-1 down to
+    1) swaps positions s and j_s <= s, after which position s is final.  So
+    position s ends with the value position j_s held before step s: V(t)
+    for the nearest earlier step t > s with j_t = j_s, else j_s itself.
+    V(t), the value position t holds before step t, is V(f(t)) for the
+    first step f(t) > t with j = t, else t; the chains resolve by pointer
+    doubling.  Position 0 ends with V(0).
+    """
+    if n >= 2**32:
+        raise ValueError(f"cannot replay a shuffle of {n} items: a draw would take more than 32 bits")
+    dtype = np.int32 if n < 2**31 else np.int64
+    permutation = np.arange(n, dtype=np.int64)
+    if n >= 2:
+        bits = np.uint64((n - 1).bit_length())
+        # steps sorted by (target, step) in one sort of packed keys
+        keys = _swap_targets(random.Random(seed), n, dtype)[1:].astype(np.uint64) << bits
+        keys |= np.arange(1, n, dtype=np.uint64)
+        keys.sort()
+        target = (keys >> bits).astype(dtype)
+        keys &= (np.uint64(1) << bits) - np.uint64(1)
+        step = keys.astype(dtype)
+        del keys
+        same = target[1:] == target[:-1]
+        later = np.full(n - 1, -1, dtype)  # the next step with the same target, else -1
+        later[:-1][same] = step[1:][same]
+        heads = np.flatnonzero(np.concatenate(([True], ~same)))
+        # f(p): a group's first step, or the next one where the first is step p itself
+        first = np.where(step[heads] == target[heads], later[heads], step[heads])
+        found = first >= 0
+        chain = np.arange(n, dtype=dtype)
+        chain[target[heads][found]] = first[found]
+        del same, heads, first, found
+        todo = np.flatnonzero(chain[chain] != chain)
+        while len(todo):
+            chain[todo] = chain[chain[todo]]
+            todo = todo[chain[chain[todo]] != chain[todo]]
+        permutation[step] = np.where(later >= 0, chain[later], target)
+        permutation[0] = chain[0]
     permutation.flags.writeable = False
     return permutation
 

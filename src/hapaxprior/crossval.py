@@ -91,6 +91,8 @@ def make_folds(corpus: TaggedCorpus, k: int, seed: int) -> FoldPlan:
 
     The plan equals shuffling with shuffle_tokens(corpus, seed) and slicing
     the result contiguously; its assignments are a read-only int64 array.
+    The shuffle is random.Random(seed).shuffle's, computed in numpy by
+    shuffled_order.
     """
     n = len(corpus)
     if k < 2:

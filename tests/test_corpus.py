@@ -96,6 +96,20 @@ class TestClassSpec:
         save_class_spec(en_spec, path)
         assert load_class_spec(path) == en_spec
 
+    @pytest.mark.parametrize("field, value, spec", [
+        ("tag", "A B", ClassSpec("x", ("a", "b"), "", {"A B": "a", "B": "b"})),
+        ("tag", " A", ClassSpec("x", ("a", "b"), "", {" A": "a", "B": "b"})),
+        ("function label", "a b", ClassSpec("x", ("a b", "b"), "", {"A": "a b", "B": "b"})),
+        ("function label", "a,c", ClassSpec("x", ("a,c", "b"), "", {"A": "a,c", "B": "b"})),
+        ("class name", "x\ny", ClassSpec("x\ny", ("a", "b"), "", {"A": "a", "B": "b"})),
+        ("class suffix", "en ", ClassSpec("x", ("a", "b"), "en ", {"A": "a", "B": "b"})),
+    ])
+    def test_save_refuses_a_field_it_cannot_write(self, tmp_path, field, value, spec):
+        out = tmp_path / "out.spec"
+        with pytest.raises(ValueError, match=re.escape(f"{field} {value!r}")):
+            save_class_spec(spec, out)
+        assert not out.exists()
+
 
 class TestLoadCorpus:
     @pytest.fixture
@@ -164,6 +178,22 @@ class TestLoadCorpus:
         with pytest.raises(ValueError, match=re.escape(repr(form))):
             save_corpus(corpus, out)
         assert not out.exists()
+
+    @pytest.mark.parametrize("tag", [" A", "A ", "A\tB", "A\nB", "A\u2028B"])
+    def test_save_refuses_a_tag_it_cannot_write(self, tmp_path, tag):
+        spec = ClassSpec(name="x", functions=("a", "b"), suffix="", tag_map={tag: "a", "B": "b"})
+        corpus = TaggedCorpus.from_columns(spec, ("x", "y"), [0, 1], [0, 1])
+        out = tmp_path / "out.tsv"
+        with pytest.raises(ValueError, match=re.escape(f"tag {tag!r}")):
+            save_corpus(corpus, out)
+        assert not out.exists()
+
+    def test_save_then_load_keeps_unusual_tags(self, tmp_path):
+        spec = ClassSpec(name="x", functions=("a", "b", "c"), suffix="", tag_map={"A B": "a", "#B": "b", "": "c"})
+        corpus = TaggedCorpus.from_columns(spec, ("x", "y"), [0, 1, 0], [0, 1, 2])
+        out = tmp_path / "out.tsv"
+        save_corpus(corpus, out)
+        assert load_corpus(out, spec) == corpus
 
     def test_save_then_load_keeps_unusual_forms(self, tmp_path, ab_spec):
         forms = ("x y", "x#", "\u00e9", "x\x00y", "x\u00a0y", "\u200bx")
@@ -298,17 +328,19 @@ class TestShuffle:
         # range drawn from changes; seeds of every size and sign
         sizes = sorted({0, 1, 2, 3} | {2**j + d for j in range(1, 13) for d in (-1, 0, 1)})
         seeds = [0, 1, 2, 7, 42, -1, -12345, 2**31 - 1, 2**32, 2**63 + 5, 2**64 - 1, 3**50]
-        checked = 0
-        for n in sizes + [2**16 - 1, 2**16 + 1, 2**17 + 1]:
-            for seed in seeds if n <= 2**12 + 1 else seeds[:2]:
-                want = list(range(n))
-                random.Random(seed).shuffle(want)
-                order = shuffled_order(n, seed)
-                assert isinstance(order, np.ndarray) and order.dtype == np.int64 and order.shape == (n,)
-                assert not order.flags.writeable
-                assert order.tolist() == want, (n, seed)
-                checked += 1
-        assert checked > 400
+        pairs = [(n, seed) for n in sizes for seed in seeds]
+        pairs += [(n, seed) for n in (2**16 - 1, 2**16 + 1, 2**17 + 1) for seed in seeds[:2]]
+        # the benchmark's sizes with the CLI's crossval seed cross every block
+        # and bit-length boundary of the replay
+        pairs += [(2**20 + 1, 1), (1_000_000, 1)]
+        for n, seed in pairs:
+            want = list(range(n))
+            random.Random(seed).shuffle(want)
+            order = shuffled_order(n, seed)
+            assert isinstance(order, np.ndarray) and order.dtype == np.int64 and order.shape == (n,)
+            assert not order.flags.writeable
+            assert order.tolist() == want, (n, seed)
+        assert len(pairs) > 400
 
     def test_preserves_multiset(self, ab_spec):
         rng = random.Random(3)
