@@ -123,7 +123,7 @@ def cmd_priors(args: argparse.Namespace) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["form", "source", "support", *table.spec.functions])
         for form in forms:
-            est = backoff_prior(table, form, args.threshold)
+            est = backoff_prior(table, form.lower() if args.fold_case else form, args.threshold)
             writer.writerow([form, est.source, est.support, *(f"{p:.6f}" for p in est.probabilities)])
     return 0
 
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         if corpus:
             p.add_argument("--corpus", required=True, help="token file, one form<TAB>tag per line")
             p.add_argument("--class-spec", required=True, help="ambiguity-class file")
-            p.add_argument("--fold-case", action="store_true", help="lowercase forms before matching")
+            p.add_argument("--fold-case", action="store_true", help="lowercase forms and queries before matching")
         return p
 
     add("spectrum", cmd_spectrum, "type/token/hapax summary of a corpus")
@@ -312,8 +312,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"hapaxprior: {exc}", file=sys.stderr)
         return 1
-    except (CorpusFormatError, EstimationError, CrossValError, DegenerateTTestError, OSError) as exc:
-        print(f"hapaxprior: {exc}", file=sys.stderr)
+    except (CorpusFormatError, EstimationError, CrossValError, DegenerateTTestError, OSError, MemoryError) as exc:
+        print(f"hapaxprior: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -125,14 +125,10 @@ class TaggedCorpus:
                 raise ValueError("token form is empty")
             if not form.endswith(spec.suffix):
                 raise ValueError(f"token {form!r} does not end with {spec.suffix!r}")
-        if len(form_ids):
-            # each id is at most one above every id before it: forms are
-            # numbered in first-occurrence order and every form occurs
-            bound = np.concatenate(([0], np.maximum.accumulate(form_ids)[:-1] + 1))
-            numbered = form_ids.min() >= 0 and (form_ids <= bound).all() and form_ids.max() == len(forms) - 1
-        else:
-            numbered = not forms
-        if not numbered:
+        # each id is at most one above every id before it: forms are numbered
+        # in first-occurrence order and every form occurs
+        running = np.maximum.accumulate(np.concatenate(([-1], form_ids)))
+        if form_ids.min(initial=0) < 0 or (np.diff(running) > 1).any() or running[-1] != len(forms) - 1:
             raise ValueError("form_ids must number every form in first-occurrence order")
         n = spec.n_functions
         bad = np.flatnonzero((functions < 0) | (functions >= n))
@@ -329,7 +325,7 @@ def save_class_spec(spec: ClassSpec, path: str | Path) -> None:
             fh.write(f"map {tag} {label}\n")
 
 
-def _swap_targets(rng: random.Random, n: int, dtype) -> np.ndarray:
+def _swap_targets(rng: random.Random, n: int) -> np.ndarray:
     """targets[i] = rng._randbelow(i + 1) for i = n-1 .. 1, drawn in that
     order from rng's words as random.shuffle draws them (targets[0] is 0).
 
@@ -340,7 +336,7 @@ def _swap_targets(rng: random.Random, n: int, dtype) -> np.ndarray:
     accepted and one >= m surely rejected; only the values in between are
     decided one by one.
     """
-    targets = np.zeros(n, dtype)
+    targets = np.zeros(n, np.int32)
     words = np.empty(0, np.uint32)  # drawn, not yet used
     m = n  # the modulus of the next draw, i + 1
     while m >= 2:
@@ -375,7 +371,8 @@ def _swap_targets(rng: random.Random, n: int, dtype) -> np.ndarray:
 
 def shuffled_order(n: int, seed: int) -> np.ndarray:
     """The permutation random.Random(seed).shuffle(list(range(n))) leaves,
-    as a read-only int64 array; shuffle_tokens applies it.
+    as a read-only int64 array; shuffle_tokens applies it.  n must be below
+    2**31 (ValueError otherwise): the replay indexes positions as int32.
 
     That stdlib shuffle defines the permutation.  It is computed by
     replaying the words of the same generator in numpy: step s (n-1 down to
@@ -386,28 +383,27 @@ def shuffled_order(n: int, seed: int) -> np.ndarray:
     first step f(t) > t with j = t, else t; the chains resolve by pointer
     doubling.  Position 0 ends with V(0).
     """
-    if n >= 2**32:
-        raise ValueError(f"cannot replay a shuffle of {n} items: a draw would take more than 32 bits")
-    dtype = np.int32 if n < 2**31 else np.int64
+    if n >= 2**31:
+        raise ValueError(f"cannot replay a shuffle of {n} items: n must be below 2**31")
     permutation = np.arange(n, dtype=np.int64)
     if n >= 2:
         bits = np.uint64((n - 1).bit_length())
         # steps sorted by (target, step) in one sort of packed keys
-        keys = _swap_targets(random.Random(seed), n, dtype)[1:].astype(np.uint64) << bits
+        keys = _swap_targets(random.Random(seed), n)[1:].astype(np.uint64) << bits
         keys |= np.arange(1, n, dtype=np.uint64)
         keys.sort()
-        target = (keys >> bits).astype(dtype)
+        target = (keys >> bits).astype(np.int32)
         keys &= (np.uint64(1) << bits) - np.uint64(1)
-        step = keys.astype(dtype)
+        step = keys.astype(np.int32)
         del keys
         same = target[1:] == target[:-1]
-        later = np.full(n - 1, -1, dtype)  # the next step with the same target, else -1
+        later = np.full(n - 1, -1, np.int32)  # the next step with the same target, else -1
         later[:-1][same] = step[1:][same]
         heads = np.flatnonzero(np.concatenate(([True], ~same)))
         # f(p): a group's first step, or the next one where the first is step p itself
         first = np.where(step[heads] == target[heads], later[heads], step[heads])
         found = first >= 0
-        chain = np.arange(n, dtype=dtype)
+        chain = np.arange(n, dtype=np.int32)
         chain[target[heads][found]] = first[found]
         del same, heads, first, found
         todo = np.flatnonzero(chain[chain] != chain)

@@ -115,16 +115,15 @@ def _fold_scorer(corpus: TaggedCorpus, plan: FoldPlan) -> Callable[[int], FoldRe
     """
     if len(plan.assignments) != len(corpus):
         raise ValueError("plan does not cover this corpus")
-    n = corpus.spec.n_functions
     full = count_table(corpus)
 
     def score(fold: int) -> FoldResult:
-        held_out = np.flatnonzero(plan.assignments == fold)
-        train = SpectrumTable.from_counts(corpus.spec, corpus.forms, full - count_table(corpus, held_out))
+        held = count_table(corpus, np.flatnonzero(plan.assignments == fold))
+        train = SpectrumTable.from_counts(corpus.spec, corpus.forms, full - held)
         omle = overall_mle(train)
         hmle = hapax_mle(train)
-        unseen_tokens = held_out[train.type_totals[corpus.form_ids[held_out]] == 0]
-        unseen = np.bincount(corpus.functions[unseen_tokens], minlength=n)
+        # N0: the held-out tokens of forms with no training token
+        unseen = (train.type_totals == 0) @ held
         n_unseen = int(unseen.sum())
         return FoldResult(
             run=fold,

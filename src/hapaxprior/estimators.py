@@ -113,10 +113,10 @@ def backoff_prior(table: SpectrumTable, form: str, threshold: int = 1) -> PriorE
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     row = table.rows.get(form)
     if row is not None and table.type_totals[row] >= threshold:
-        est = form_mle(table, form)
-        return PriorEstimate(est.probabilities, "backoff-form", est.support)
-    est = hapax_mle(table)
-    return PriorEstimate(est.probabilities, "backoff-hapax", est.support)
+        est, source = form_mle(table, form), "backoff-form"
+    else:
+        est, source = hapax_mle(table), "backoff-hapax"
+    return PriorEstimate(est.probabilities, source, est.support)
 
 
 def expected_unseen_counts(estimate: PriorEstimate, n_unseen_tokens: int) -> ExpectedCounts:

@@ -4,7 +4,6 @@ per-frequency-class proportion curves with running-median smoothing."""
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -165,5 +164,5 @@ def running_median(values: Sequence[float], window: int = 5) -> list[float]:
     half = window // 2
     out = list(values)
     for i in range(half, len(values) - half):
-        out[i] = statistics.median(values[i - half : i + half + 1])
+        out[i] = sorted(values[i - half : i + half + 1])[half]
     return out

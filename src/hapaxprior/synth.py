@@ -49,6 +49,8 @@ class SynthSpec:
                 raise ValueError(f"{name} must be in [0,1], got {p}")
         if len(self.functions) != 2 or self.functions[0] == self.functions[1]:
             raise ValueError(f"functions must be 2 distinct labels, got {self.functions}")
+        if any(label.split() != [label] or "," in label for label in self.functions):
+            raise ValueError(f"function labels must hold no whitespace or comma, got {self.functions}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

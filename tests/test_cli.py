@@ -80,11 +80,15 @@ class TestExitCodes:
             ["crossval", "--corpus", corpus, "--class-spec", spec, "--ratio", "inf/inf"],
             ["synth", "--n-types", "10", "--target-tokens", "20", "--zipf-exponent", "nan",
              "--out", str(tmp_path / "s.tsv")],
+            # a label no class-spec map line could name
+            ["synth", "--n-types", "3", "--target-tokens", "10", "--functions", "a b,c",
+             "--out", str(tmp_path / "s.tsv"), "--spec-out", str(tmp_path / "s.spec")],
         ]
         for argv in cases:
             code, out, err = run(capsys, *argv)
             assert code == 1, argv
             assert err.strip(), argv
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["class.spec", "corpus.tsv"]
 
     def test_data_errors_exit_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path)
@@ -111,6 +115,30 @@ class TestExitCodes:
             code, out, err = run(capsys, *argv)
             assert code == 2, argv
             assert err.strip(), argv
+        map_lines = "map V(inf) inf\nmap V(pl) pl\n"
+        for name, text in (
+            ("short.spec", "name=x\nsuffix=en\nfunctions=inf,pl\n"),
+            ("order.spec", "suffix=en\nname=x\nfunctions=inf,pl\n" + map_lines),
+            ("dup.spec", SPEC_TEXT + "map V(inf) pl\n"),
+            ("unmapped.spec", "name=x\nsuffix=en\nfunctions=inf,pl,ger\n" + map_lines),
+        ):
+            bad_spec = tmp_path / name
+            bad_spec.write_text(text)
+            code, out, err = run(capsys, "spectrum", "--corpus", nohapax, "--class-spec", str(bad_spec))
+            assert code == 2 and out == "", name
+            assert len(err.splitlines()) == 1 and str(bad_spec) in err, name
+
+    def test_memory_error_is_a_one_line_data_error(self, tmp_path, capsys, monkeypatch):
+        argv = ["synth", "--n-types", "10", "--target-tokens", "20", "--out", str(tmp_path / "o.tsv")]
+        # numpy's allocation failure names the size; the interpreter's own carries no message
+        for error, line in ((MemoryError("Unable to allocate 745. GiB"), "Unable to allocate 745. GiB"),
+                            (MemoryError(), "MemoryError")):
+            def generate(spec, error=error):
+                raise error
+
+            monkeypatch.setattr("hapaxprior.cli.generate", generate)
+            assert run(capsys, *argv) == (2, "", f"hapaxprior: {line}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_0(self, capsys):
         assert run(capsys, "--help")[0] == 0
@@ -172,6 +200,17 @@ class TestPriors:
         row = data_lines(out)[1].split(",")
         assert row[1] == "backoff-hapax"
         assert float(row[3]) == pytest.approx(0.5)
+
+    def test_fold_case_folds_the_query_and_prints_it_as_given(self, tmp_path, capsys):
+        spec = write_spec(tmp_path)
+        pairs = [("Lopen", 0), ("lopen", 1), ("lopen", 0)] + [(f"r{i}en", i % 2) for i in range(4)]
+        corpus = write_corpus(tmp_path, pairs)
+        _, out, _ = run(capsys, "priors", "--corpus", corpus, "--class-spec", spec, "--fold-case",
+                        "--form", "Lopen", "--form", "lopen")
+        assert data_lines(out)[1:] == [
+            "Lopen,backoff-form,3,0.666667,0.333333",
+            "lopen,backoff-form,3,0.666667,0.333333",
+        ]
 
     def test_forms_file_and_repeated_flags(self, tmp_path, capsys):
         spec = write_spec(tmp_path)
@@ -493,18 +532,20 @@ class TestNoScipy:
         script = (
             "import sys\n"
             "from hapaxprior.cli import main\n"
-            "for command in ('crossval', 'report'):\n"
-            f"    assert main([command, '--corpus', {corpus!r}, '--class-spec', {spec!r}, '--k', '5']) == 0\n"
+            "for argv in (['crossval', '--k', '5'], ['report', '--k', '5'], ['figure']):\n"
+            f"    assert main([*argv, '--corpus', {corpus!r}, '--class-spec', {spec!r}]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
             "print('numpy.random' in sys.modules)\n"
+            "print([m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules])\n"
         )
         src = str(Path(hapaxprior.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        # numpy.random costs start-up on every run; the fold shuffle does not need it
-        assert done.stdout.splitlines()[-2:] == ["[]", "False"]
+        # numpy.random and statistics (with fractions and decimal) cost start-up
+        # on every run; neither the fold shuffle nor the running median needs them
+        assert done.stdout.splitlines()[-3:] == ["[]", "False", "[]"]
 
 
 class TestReadme:

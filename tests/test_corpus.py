@@ -342,6 +342,11 @@ class TestShuffle:
             assert order.tolist() == want, (n, seed)
         assert len(pairs) > 400
 
+    def test_shuffled_order_refuses_n_of_2_to_the_31(self):
+        # refused before anything is allocated; never replay near this size
+        with pytest.raises(ValueError, match="2147483648"):
+            shuffled_order(2**31, 0)
+
     def test_preserves_multiset(self, ab_spec):
         rng = random.Random(3)
         corpus = corpus_of(ab_spec, [(f"w{rng.randint(1, 5)}", rng.randrange(2)) for _ in range(40)])

@@ -31,6 +31,8 @@ class TestSpecValidation:
             dict(good, p_low=-0.1),
             dict(good, functions=("a", "a")),
             dict(good, functions=("a",)),
+            dict(good, functions=("a b", "c")),
+            dict(good, functions=("a,b", "c")),
             dict(good, seed=-1),
         ):
             with pytest.raises(ValueError):
