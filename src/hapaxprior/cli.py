@@ -181,6 +181,9 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     computation, two renderers."""
     if args.k < 2:
         raise UsageError(f"--k must be >= 2, got {args.k}")
+    if args.seed < 0:
+        # random.Random seeds with abs(seed), so -5 would replay the folds of 5
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     corpus = _load(args)
     ratio = _parse_ratio(corpus.spec, args.ratio)
     report = run_crossval(corpus, args.k, args.seed, ratio)

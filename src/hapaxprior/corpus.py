@@ -9,11 +9,13 @@ corpus tags onto a small set of function labels.
 
 from __future__ import annotations
 
+import codecs
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,8 +98,8 @@ class TaggedCorpus:
         tokens = tuple(tokens)
         index: dict[str, int] = {}
         form_ids = [index.setdefault(tok.form, len(index)) for tok in tokens]
-        self._set_columns(spec, tuple(index), form_ids, [tok.function for tok in tokens], dropped)
-        self.__dict__["tokens"] = tokens
+        checked = TaggedCorpus.from_columns(spec, tuple(index), form_ids, [tok.function for tok in tokens], dropped)
+        self.__dict__.update(vars(checked), tokens=tokens)
 
     @classmethod
     def from_columns(
@@ -109,11 +111,7 @@ class TaggedCorpus:
         dropped: int = 0,
     ) -> TaggedCorpus:
         """A corpus from interned columns, validated once per form and per array."""
-        corpus = cls.__new__(cls)
-        corpus._set_columns(spec, tuple(forms), form_ids, functions, dropped)
-        return corpus
-
-    def _set_columns(self, spec: ClassSpec, forms: tuple[str, ...], form_ids, functions, dropped: int) -> None:
+        forms = tuple(forms)
         form_ids = np.array(form_ids, dtype=np.int64)
         functions = np.array(functions, dtype=np.int64)
         if form_ids.ndim != 1 or form_ids.shape != functions.shape:
@@ -135,11 +133,21 @@ class TaggedCorpus:
         if len(bad):
             i = bad[0]
             raise ValueError(f"token {forms[form_ids[i]]!r} has function index {functions[i]} outside 0..{n - 1}")
+        return cls._of_valid_columns(spec, forms, form_ids, functions, dropped)
+
+    @classmethod
+    def _of_valid_columns(
+        cls, spec: ClassSpec, forms: tuple[str, ...], form_ids: np.ndarray, functions: np.ndarray, dropped: int
+    ) -> TaggedCorpus:
+        """A corpus of columns that pass from_columns' checks, unchecked; it
+        takes the int64 arrays over and makes them read-only."""
+        corpus = cls.__new__(cls)
         form_ids.flags.writeable = False
         functions.flags.writeable = False
         for name, value in (("spec", spec), ("forms", forms), ("form_ids", form_ids),
                             ("functions", functions), ("dropped", dropped)):
-            object.__setattr__(self, name, value)
+            object.__setattr__(corpus, name, value)
+        return corpus
 
     @cached_property
     def tokens(self) -> tuple[TokenRecord, ...]:
@@ -164,12 +172,62 @@ class TaggedCorpus:
         )
 
 
-def _read_lines(path: str | Path, what: str) -> list[str]:
+# bytes per read; a piece handed to the decoder runs to the last b"\n" of a block
+_BLOCK_BYTES = 1 << 20
+
+
+def _line_pieces(fh: BinaryIO) -> Iterator[bytes]:
+    """The bytes of fh after a leading UTF-8 byte-order mark, in pieces that
+    each end after the last b"\n" of a block, the last one at the end of the
+    file.  A file shorter than the mark and a prefix of it has no bytes, as
+    under the utf-8-sig codec."""
+    head = fh.read(3)
+    pending = [] if codecs.BOM_UTF8.startswith(head) else [head]  # since the last b"\n"
+    while block := fh.read(_BLOCK_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            pending.append(block[:cut])
+            yield b"".join(pending)
+            pending = [block[cut:]]
+        else:
+            # joined once when a line ends, not rest + block per block
+            pending.append(block)
+    if rest := b"".join(pending):
+        yield rest
+
+
+def _decode_error(exc: UnicodeDecodeError, offset: int) -> str:
+    """The codec's message for exc, its position counted offset bytes on."""
+    start = exc.start + offset
+    if exc.end - exc.start == 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    else:
+        where = f"bytes in position {start}-{exc.end - 1 + offset}"
+    return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
+
+
+def _read_lines(path: str | Path, what: str) -> Iterator[list[str]]:
     """The str.splitlines() lines of a UTF-8 file, a leading byte-order mark
-    dropped; an unreadable file raises CorpusFormatError("cannot read <what> <path>: ...")."""
+    dropped, as one list per piece of _line_pieces; an unreadable file raises
+    CorpusFormatError("cannot read <what> <path>: ...").
+
+    A cut after b"\n" is always a splitlines() boundary (b"\r\n" stays
+    whole) and b"\n" never occurs inside a UTF-8 sequence, so each piece
+    decodes and splits on its own as the whole text would.  A decode error
+    counts its position in bytes after the mark, as decoding the whole file
+    with utf-8-sig does.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8-sig").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            offset = 0  # bytes before this piece, after the mark
+            for piece in _line_pieces(fh):
+                try:
+                    text = piece.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CorpusFormatError(f"cannot read {what} {path}: {_decode_error(exc, offset)}") from exc
+                yield text.splitlines()
+                offset += len(piece)
+    except OSError as exc:
         raise CorpusFormatError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -177,7 +235,7 @@ def read_line_list(path: str | Path, what: str) -> list[tuple[int, str]]:
     """The numbered, stripped lines of a text file except blank and '#' lines."""
     return [
         (no, line.strip())
-        for no, line in enumerate(_read_lines(path, what), start=1)
+        for no, line in enumerate(chain.from_iterable(_read_lines(path, what)), start=1)
         if line.strip() and not line.lstrip().startswith("#")
     ]
 
@@ -236,41 +294,55 @@ def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False) -> T
     everything else is counted in `dropped`.  A data line without exactly two
     tab-separated fields raises CorpusFormatError naming the line number.
     An empty result is not an error.  A leading UTF-8 byte-order mark is
-    ignored.
+    ignored.  The file is read in pieces, so the whole text is never held.
     """
     path = Path(path)
-    lines = _read_lines(path, "corpus")
     n = spec.n_functions
     function_of = {tag: spec.function_index(label) for tag, label in spec.tag_map.items()}
     index: dict[str, int] = {}
+    lines: list[str] = []  # the piece being coded
+    done = 0  # lines before it
 
-    @cache
-    def code(line: str) -> int:
-        """The line's cell form_id * n + function if kept, else _DROPPED or
-        _SKIPPED; memoised, so each distinct line is parsed once."""
-        head = line.lstrip()
-        if not head or head[0] == "#":
-            return _SKIPPED
-        fields = line.split("\t")
-        form = fields[0].strip()
-        if len(fields) != 2 or not form:
-            # the first bad line: an earlier copy would have failed first
-            no = lines.index(line) + 1
-            if len(fields) != 2:
-                raise CorpusFormatError(f"{path}:{no}: expected 'form<TAB>tag', got {len(fields)} fields")
-            raise CorpusFormatError(f"{path}:{no}: empty form")
-        if fold_case:
-            form = form.lower()
-        function = function_of.get(fields[1].strip())
-        if function is None or not form.endswith(spec.suffix):
-            return _DROPPED
-        return index.setdefault(form, len(index)) * n + function
+    class Codes(dict):
+        """Line -> cell form_id * n + function if kept, else _DROPPED or
+        _SKIPPED.  A line seen before is a lookup in C; each new distinct
+        line is parsed once, in __missing__.  Kept across pieces: a per-piece
+        memo would parse each piece's repeated lines again."""
 
-    cells = np.fromiter(map(code, lines), np.int64, len(lines))
-    form_ids, functions = np.divmod(cells[cells >= 0], n)
-    return TaggedCorpus.from_columns(
-        spec, tuple(index), form_ids, functions, dropped=int(np.count_nonzero(cells == _DROPPED))
-    )
+        def __missing__(self, line: str) -> int:
+            head = line.lstrip()
+            if not head or head[0] == "#":
+                self[line] = _SKIPPED
+                return _SKIPPED
+            fields = line.split("\t")
+            form = fields[0].strip()
+            if len(fields) != 2 or not form:
+                # the first bad line: an earlier copy would have failed first
+                no = done + lines.index(line) + 1
+                if len(fields) != 2:
+                    raise CorpusFormatError(f"{path}:{no}: expected 'form<TAB>tag', got {len(fields)} fields")
+                raise CorpusFormatError(f"{path}:{no}: empty form")
+            if fold_case:
+                form = form.lower()
+            function = function_of.get(fields[1].strip())
+            if function is None or not form.endswith(spec.suffix):
+                code = _DROPPED
+            else:
+                code = index.setdefault(form, len(index)) * n + function
+            self[line] = code
+            return code
+
+    code = Codes().__getitem__
+    kept = [np.empty(0, np.int64)]
+    dropped = 0
+    for lines in _read_lines(path, "corpus"):
+        cells = np.fromiter(map(code, lines), np.int64, len(lines))
+        kept.append(cells[cells >= 0])
+        dropped += int(np.count_nonzero(cells == _DROPPED))
+        done += len(lines)
+    form_ids, functions = np.divmod(np.concatenate(kept), n)
+    # the columns hold by construction what from_columns would check
+    return TaggedCorpus._of_valid_columns(spec, tuple(index), form_ids, functions, dropped)
 
 
 def save_corpus(corpus: TaggedCorpus, path: str | Path, header: str | None = None) -> None:

@@ -78,6 +78,9 @@ class TestExitCodes:
             ["synth", "--n-types", "10", "--target-tokens", "20", "--seed", "-1", "--out",
              str(tmp_path / "s.tsv")],
             ["crossval", "--corpus", corpus, "--class-spec", spec, "--ratio", "inf/inf"],
+            # random.Random(-5) seeds as Random(5): a negative seed would alias
+            ["crossval", "--corpus", corpus, "--class-spec", spec, "--seed", "-5"],
+            ["report", "--corpus", corpus, "--class-spec", spec, "--seed", "-5"],
             ["synth", "--n-types", "10", "--target-tokens", "20", "--zipf-exponent", "nan",
              "--out", str(tmp_path / "s.tsv")],
             # a label no class-spec map line could name
@@ -426,17 +429,25 @@ class TestFailedRuns:
     def test_non_utf8_file_is_a_one_line_data_error(self, tmp_path, capsys):
         spec = write_spec(tmp_path)
         corpus = write_corpus(tmp_path, [("lopen", 0), ("eten", 1)])
-        latin1 = tmp_path / "latin1.txt"
-        latin1.write_bytes(b"lop\xffen\tV(inf)\n")
-        for argv, what in (
-            (["spectrum", "--corpus", str(latin1), "--class-spec", spec], "corpus"),
-            (["spectrum", "--corpus", corpus, "--class-spec", str(latin1)], "class spec"),
-            (["priors", "--corpus", corpus, "--class-spec", spec, "--forms-file", str(latin1)], "forms file"),
+        # the position counts bytes after a byte-order mark, across the read blocks
+        filler = b"lopen\tV(inf)\n" * 100_000  # more than one block
+        for name, data, message in (
+            ("latin1.txt", b"lop\xffen\tV(inf)\n", "can't decode byte 0xff in position 3: invalid start byte"),
+            ("far.txt", b"\xef\xbb\xbf" + filler + b"lop\xffen\tV(inf)\n",
+             "can't decode byte 0xff in position 1300003: invalid start byte"),
+            ("cut.txt", filler + b"lop\xe2\x82\n",
+             "can't decode bytes in position 1300003-1300004: invalid continuation byte"),
         ):
-            code, out, err = run(capsys, *argv)
-            assert code == 2 and out == "", what
-            assert err.count("\n") == 1, what
-            assert err.startswith(f"hapaxprior: cannot read {what} {latin1}: 'utf-8' codec can't decode"), what
+            latin1 = tmp_path / name
+            latin1.write_bytes(data)
+            for argv, what in (
+                (["spectrum", "--corpus", str(latin1), "--class-spec", spec], "corpus"),
+                (["spectrum", "--corpus", corpus, "--class-spec", str(latin1)], "class spec"),
+                (["priors", "--corpus", corpus, "--class-spec", spec, "--forms-file", str(latin1)], "forms file"),
+            ):
+                code, out, err = run(capsys, *argv)
+                assert code == 2 and out == "", (name, what)
+                assert err == f"hapaxprior: cannot read {what} {latin1}: 'utf-8' codec {message}\n", (name, what)
 
     def test_no_hapaxes_fold_line_names_the_counts(self, tmp_path, capsys):
         spec = write_spec(tmp_path)

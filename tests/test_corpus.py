@@ -18,6 +18,7 @@ from hapaxprior import (
     save_corpus,
     shuffle_tokens,
 )
+from hapaxprior import corpus as corpus_module
 from hapaxprior.corpus import shuffled_order
 
 import oracles
@@ -259,26 +260,32 @@ class TestColumns:
             text = text[:-1]
         return ("\ufeff" if rng.random() < 0.3 else "") + text
 
-    def test_load_matches_a_line_by_line_oracle(self, tmp_path, en_spec):
-        rng = random.Random(20)
+    def test_load_matches_a_line_by_line_oracle(self, tmp_path, en_spec, monkeypatch):
         path = tmp_path / "corpus.tsv"
-        errors = 0
-        for _ in range(300):
-            text = self.random_corpus_text(rng)
-            fold_case = rng.random() < 0.5
-            path.write_bytes(text.encode("utf-8"))
-            want = oracles.load_lines(text, en_spec, fold_case)
-            if "error" in want:
-                errors += 1
-                with pytest.raises(CorpusFormatError) as exc_info:
-                    load_corpus(path, en_spec, fold_case=fold_case)
-                assert str(exc_info.value) == f"{path}:{want['line']}: {want['error']}", repr(text)
-                continue
-            corpus = load_corpus(path, en_spec, fold_case=fold_case)
-            got = {"forms": list(corpus.forms), "form_ids": corpus.form_ids.tolist(),
-                   "functions": corpus.functions.tolist(), "dropped": corpus.dropped}
-            assert got == want, repr(text)
-        assert 50 < errors < 250
+        # blocks of 1 and 7 bytes put a block edge inside every break and bad line
+        for block_bytes in (1, 7, corpus_module._BLOCK_BYTES):
+            monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", block_bytes)
+            rng = random.Random(20)
+            errors = 0
+            for _ in range(300):
+                text = self.random_corpus_text(rng)
+                fold_case = rng.random() < 0.5
+                path.write_bytes(text.encode("utf-8"))
+                want = oracles.load_lines(text, en_spec, fold_case)
+                if "error" in want:
+                    errors += 1
+                    with pytest.raises(CorpusFormatError) as exc_info:
+                        load_corpus(path, en_spec, fold_case=fold_case)
+                    assert str(exc_info.value) == f"{path}:{want['line']}: {want['error']}", repr(text)
+                    continue
+                corpus = load_corpus(path, en_spec, fold_case=fold_case)
+                got = {"forms": list(corpus.forms), "form_ids": corpus.form_ids.tolist(),
+                       "functions": corpus.functions.tolist(), "dropped": corpus.dropped}
+                assert got == want, (block_bytes, repr(text))
+                # the loader skips from_columns' checks; its columns pass them
+                assert corpus == TaggedCorpus.from_columns(
+                    en_spec, corpus.forms, corpus.form_ids, corpus.functions, corpus.dropped)
+            assert 50 < errors < 250
 
     def test_from_columns_matches_tokens_and_is_read_only(self, ab_spec):
         corpus = TaggedCorpus.from_columns(ab_spec, ("x", "y"), [0, 1, 0], [1, 0, 0], dropped=2)
