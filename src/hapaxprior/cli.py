@@ -14,6 +14,7 @@ import io
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
+from pathlib import Path
 from typing import IO, Callable, Iterator, Sequence
 
 from .corpus import (
@@ -228,6 +229,13 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.out == "-":
         raise UsageError("synth writes a corpus file plus a truth sidecar; --out must be a path")
+    truth_out = args.truth_out or f"{args.out}.truth.csv"
+    seen: dict[Path, str] = {}
+    for option, path in (("--out", args.out), ("--truth-out", truth_out), ("--spec-out", args.spec_out)):
+        if path:
+            other = seen.setdefault(Path(path).resolve(), option)
+            if other != option:
+                raise UsageError(f"{other} and {option} name the same file {path!r}")
     labels = tuple(f.strip() for f in args.functions.split(",") if f.strip())
     # every SynthSpec field, in field order; the options carry the same names
     params = {f.name: getattr(args, f.name) for f in fields(SynthSpec)} | {"functions": labels}
@@ -241,7 +249,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         for name, value in params.items() if name != "seed"
     ]).strip("#\n ")
     # --out last, so a failed sidecar write leaves no --out behind
-    truth_out = args.truth_out or f"{args.out}.truth.csv"
     save_truth(truth, truth_out)
     if args.spec_out:
         save_class_spec(corpus.spec, args.spec_out)

@@ -10,18 +10,34 @@ corpus tags onto a small set of function labels.
 from __future__ import annotations
 
 import codecs
+import os
 import random
+import stat
+import struct
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, filterfalse
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import _lines
+
 
 class CorpusFormatError(ValueError):
     """Malformed corpus or class-spec file (carries the offending line number)."""
+
+
+def int64_array(values, name: str) -> np.ndarray:
+    """A new int64 array of values; ValueError naming `name` unless every
+    value is an integer (floats, strings and booleans are refused, not cut).
+    An empty sequence gives an empty array."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, not {array.dtype} values")
+    return np.array(array, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -112,8 +128,10 @@ class TaggedCorpus:
     ) -> TaggedCorpus:
         """A corpus from interned columns, validated once per form and per array."""
         forms = tuple(forms)
-        form_ids = np.array(form_ids, dtype=np.int64)
-        functions = np.array(functions, dtype=np.int64)
+        if isinstance(dropped, bool) or not isinstance(dropped, (int, np.integer)) or dropped < 0:
+            raise ValueError(f"dropped must be a non-negative integer, not {dropped!r}")
+        form_ids = int64_array(form_ids, "form_ids")
+        functions = int64_array(functions, "functions")
         if form_ids.ndim != 1 or form_ids.shape != functions.shape:
             raise ValueError("form_ids and functions must be 1-D arrays of equal length")
         if len(set(forms)) != len(forms):
@@ -133,7 +151,7 @@ class TaggedCorpus:
         if len(bad):
             i = bad[0]
             raise ValueError(f"token {forms[form_ids[i]]!r} has function index {functions[i]} outside 0..{n - 1}")
-        return cls._of_valid_columns(spec, forms, form_ids, functions, dropped)
+        return cls._of_valid_columns(spec, forms, form_ids, functions, int(dropped))
 
     @classmethod
     def _of_valid_columns(
@@ -172,30 +190,6 @@ class TaggedCorpus:
         )
 
 
-# bytes per read; a piece handed to the decoder runs to the last b"\n" of a block
-_BLOCK_BYTES = 1 << 20
-
-
-def _line_pieces(fh: BinaryIO) -> Iterator[bytes]:
-    """The bytes of fh after a leading UTF-8 byte-order mark, in pieces that
-    each end after the last b"\n" of a block, the last one at the end of the
-    file.  A file shorter than the mark and a prefix of it has no bytes, as
-    under the utf-8-sig codec."""
-    head = fh.read(3)
-    pending = [] if codecs.BOM_UTF8.startswith(head) else [head]  # since the last b"\n"
-    while block := fh.read(_BLOCK_BYTES):
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            pending.append(block[:cut])
-            yield b"".join(pending)
-            pending = [block[cut:]]
-        else:
-            # joined once when a line ends, not rest + block per block
-            pending.append(block)
-    if rest := b"".join(pending):
-        yield rest
-
-
 def _decode_error(exc: UnicodeDecodeError, offset: int) -> str:
     """The codec's message for exc, its position counted offset bytes on."""
     start = exc.start + offset
@@ -206,38 +200,41 @@ def _decode_error(exc: UnicodeDecodeError, offset: int) -> str:
     return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
 
 
-def _read_lines(path: str | Path, what: str) -> Iterator[list[str]]:
-    """The str.splitlines() lines of a UTF-8 file, a leading byte-order mark
-    dropped, as one list per piece of _line_pieces; an unreadable file raises
-    CorpusFormatError("cannot read <what> <path>: ...").
+def _decoded_pieces(fh: BinaryIO, path: str | Path, what: str, start: int = 0, end: int | None = None,
+                    offset: int = 0) -> Iterator[list[str]]:
+    """The str.splitlines() lines of bytes start..end of fh, where fh stands,
+    as one list per piece of _lines.pieces.  offset is the number of bytes
+    after a leading byte-order mark that lie before start.
 
     A cut after b"\n" is always a splitlines() boundary (b"\r\n" stays
     whole) and b"\n" never occurs inside a UTF-8 sequence, so each piece
     decodes and splits on its own as the whole text would.  A decode error
-    counts its position in bytes after the mark, as decoding the whole file
+    raises CorpusFormatError("cannot read <what> <path>: ...") with its
+    position counted in bytes after the mark, as decoding the whole file
     with utf-8-sig does.
     """
-    try:
-        with open(path, "rb") as fh:
-            offset = 0  # bytes before this piece, after the mark
-            for piece in _line_pieces(fh):
-                try:
-                    text = piece.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise CorpusFormatError(f"cannot read {what} {path}: {_decode_error(exc, offset)}") from exc
-                yield text.splitlines()
-                offset += len(piece)
-    except OSError as exc:
-        raise CorpusFormatError(f"cannot read {what} {path}: {exc}") from exc
+    for piece in _lines.pieces(fh, start, end, _lines.BLOCK_BYTES):
+        try:
+            text = piece.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"cannot read {what} {path}: {_decode_error(exc, offset)}") from exc
+        yield text.splitlines()
+        offset += len(piece)
 
 
 def read_line_list(path: str | Path, what: str) -> list[tuple[int, str]]:
-    """The numbered, stripped lines of a text file except blank and '#' lines."""
-    return [
-        (no, line.strip())
-        for no, line in enumerate(chain.from_iterable(_read_lines(path, what)), start=1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    """The numbered, stripped lines of a UTF-8 text file except blank and '#'
+    lines, a leading byte-order mark dropped; an unreadable file raises
+    CorpusFormatError("cannot read <what> <path>: ...")."""
+    try:
+        with open(path, "rb") as fh:
+            return [
+                (no, line.strip())
+                for no, line in enumerate(chain.from_iterable(_decoded_pieces(fh, path, what)), start=1)
+                if line.strip() and not line.lstrip().startswith("#")
+            ]
+    except OSError as exc:
+        raise CorpusFormatError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def load_class_spec(path: str | Path) -> ClassSpec:
@@ -283,8 +280,112 @@ def load_class_spec(path: str | Path) -> ClassSpec:
         raise CorpusFormatError(f"{path}: {exc}") from exc
 
 
-_SKIPPED = -2  # blank or comment line
-_DROPPED = -1  # suffix miss or unmapped tag
+# the least bytes a helper codes: a smaller part costs more to start and merge than it saves
+_PART_BYTES = 2 << 20
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _parts(fh: BinaryIO, block_bytes: int) -> list[tuple[int, int | None, int]]:
+    """(start, end, offset) of each part load_corpus codes on its own: end
+    None reads to the end of the stream, and offset counts the bytes before
+    start that follow a leading byte-order mark.
+
+    One part, the whole stream, unless fh is a regular file of at least two
+    parts of _PART_BYTES and the process may use 2 or more CPUs; then at most
+    one part per usable CPU and per _PART_BYTES.  Each inner bound is where
+    a piece of _lines.pieces ends: after the last b"\n" of the block that
+    ends nearest an even share of the file, or of the next block with one,
+    so every part yields the pieces a serial read yields there.
+    """
+    info = os.fstat(fh.fileno())
+    size = info.st_size
+    n_parts = min(_usable_cpus(), size // _PART_BYTES) if stat.S_ISREG(info.st_mode) and sys.executable else 1
+    if n_parts < 2:
+        return [(0, None, 0)]
+    bounds = [0]
+    for i in range(1, n_parts):
+        # the block ending nearest the share; blocks lie after the first 3 bytes
+        j = max(0, (size * i // n_parts - 3 + block_bytes // 2) // block_bytes - 1)
+        while True:
+            at = 3 + j * block_bytes
+            fh.seek(at)
+            block = fh.read(block_bytes)
+            last = block.rfind(b"\n")
+            if not block or last >= 0 and at + last + 1 > bounds[-1]:
+                break
+            j += 1
+        if not block or at + last + 1 >= size:
+            break
+        bounds.append(at + last + 1)
+    bounds.append(size)
+    fh.seek(0)
+    mark = len(codecs.BOM_UTF8) if fh.read(3) == codecs.BOM_UTF8 else 0
+    fh.seek(0)
+    return [(start, end, start and start - mark) for start, end in zip(bounds, bounds[1:])]
+
+
+def _start_helpers(path: Path, parts: list[tuple[int, int | None, int]], block_bytes: int,
+                   function_of: dict[str, int], n: int, suffix: str, fold_case: bool) -> list:
+    """One helper interpreter per part, each running _lines as a script on
+    its byte range; None for a part whose helper could not be started."""
+    if not parts:
+        return []
+    import json
+    import subprocess
+
+    helpers = []
+    for start, end, _ in parts:
+        job = json.dumps([os.fspath(path), start, end, block_bytes, function_of, n, suffix, fold_case])
+        try:
+            helpers.append(subprocess.Popen(
+                [sys.executable, "-I", "-S", _lines.__file__, job],
+                stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL))
+        except OSError:
+            helpers.append(None)
+    return helpers
+
+
+def _stop_helpers(helpers: list) -> None:
+    """Kill (when still running) and reap every helper."""
+    for proc in helpers:
+        if proc is not None:
+            proc.kill()  # a no-op for one already reaped
+            proc.wait()
+            proc.stdout.close()
+
+
+def _helper_codes(proc, index: dict[str, int], n: int, max_lines: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(codes, cell_map) from a helper: the code of each line of its part,
+    and per cell of its own form numbering the cell under index's numbering,
+    index extended by its new forms in first-occurrence order.  None, with
+    index untouched, if the helper failed or wrote a malformed result."""
+    out = proc.stdout
+    try:
+        n_lines, n_forms, n_joined = _lines.HEADER.unpack(out.read(_lines.HEADER.size))
+        if n_lines > max_lines:
+            return None
+        codes = np.empty(n_lines, np.int64)
+        if out.readinto(codes) != codes.nbytes:
+            return None
+        joined = out.read()
+        if proc.wait() or len(joined) != n_joined:
+            return None
+        forms = joined.decode("utf-8").split("\n") if n_forms else []
+    except (OSError, ValueError, struct.error):
+        return None
+    if len(forms) != n_forms or len(codes) and not _lines.SKIPPED <= codes.min() <= codes.max() < n_forms * n:
+        return None
+    new = list(filterfalse(index.__contains__, forms))
+    index.update(zip(new, range(len(index), len(index) + len(new))))
+    ids = np.fromiter(map(index.__getitem__, forms), np.int64, n_forms)
+    return codes, (ids[:, None] * n + np.arange(n)).ravel()
 
 
 def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False) -> TaggedCorpus:
@@ -295,52 +396,61 @@ def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False) -> T
     tab-separated fields raises CorpusFormatError naming the line number.
     An empty result is not an error.  A leading UTF-8 byte-order mark is
     ignored.  The file is read in pieces, so the whole text is never held.
+
+    A large regular file is coded in parallel: while this process codes the
+    first part, stdlib-only helper interpreters (``python -I -S``) code the
+    later ones, at most one part per usable CPU (see _parts).  Their forms
+    and line codes are merged in file order, so the result is the one a
+    single pass gives.  A part whose helper fails for any reason is coded
+    here instead, so an error is reported as a single pass reports it.
     """
     path = Path(path)
     n = spec.n_functions
     function_of = {tag: spec.function_index(label) for tag, label in spec.tag_map.items()}
-    index: dict[str, int] = {}
-    lines: list[str] = []  # the piece being coded
-    done = 0  # lines before it
-
-    class Codes(dict):
-        """Line -> cell form_id * n + function if kept, else _DROPPED or
-        _SKIPPED.  A line seen before is a lookup in C; each new distinct
-        line is parsed once, in __missing__.  Kept across pieces: a per-piece
-        memo would parse each piece's repeated lines again."""
-
-        def __missing__(self, line: str) -> int:
-            head = line.lstrip()
-            if not head or head[0] == "#":
-                self[line] = _SKIPPED
-                return _SKIPPED
-            fields = line.split("\t")
-            form = fields[0].strip()
-            if len(fields) != 2 or not form:
-                # the first bad line: an earlier copy would have failed first
-                no = done + lines.index(line) + 1
-                if len(fields) != 2:
-                    raise CorpusFormatError(f"{path}:{no}: expected 'form<TAB>tag', got {len(fields)} fields")
-                raise CorpusFormatError(f"{path}:{no}: empty form")
-            if fold_case:
-                form = form.lower()
-            function = function_of.get(fields[1].strip())
-            if function is None or not form.endswith(spec.suffix):
-                code = _DROPPED
-            else:
-                code = index.setdefault(form, len(index)) * n + function
-            self[line] = code
-            return code
-
-    code = Codes().__getitem__
+    # line -> cell, kept across the pieces of a part, as a per-piece memo
+    # would parse each piece's repeated lines again
+    memo, index = _lines.coder(function_of, n, spec.suffix, fold_case)
+    code = memo.__getitem__
     kept = [np.empty(0, np.int64)]
-    dropped = 0
-    for lines in _read_lines(path, "corpus"):
-        cells = np.fromiter(map(code, lines), np.int64, len(lines))
-        kept.append(cells[cells >= 0])
-        dropped += int(np.count_nonzero(cells == _DROPPED))
-        done += len(lines)
-    form_ids, functions = np.divmod(np.concatenate(kept), n)
+    dropped = done = 0  # done: lines before the piece being coded
+    try:
+        with open(path, "rb") as fh:
+            block_bytes = _lines.BLOCK_BYTES
+            parts = _parts(fh, block_bytes)
+            helpers = _start_helpers(path, parts[1:], block_bytes, function_of, n, spec.suffix, fold_case)
+            try:
+                for (start, end, offset), helper in zip(parts, [None, *helpers]):
+                    merged = helper and _helper_codes(helper, index, n, end - start)
+                    if merged:
+                        codes, cell_map = merged
+                        kept.append(cell_map[codes[codes >= 0]])
+                        dropped += int(np.count_nonzero(codes == _lines.DROPPED))
+                        done += len(codes)
+                        continue
+                    if start:
+                        fh.seek(start)
+                    for lines in _decoded_pieces(fh, path, "corpus", start, end, offset):
+                        try:
+                            codes = np.fromiter(map(code, lines), np.int64, len(lines))
+                        except _lines.BadLine as exc:
+                            line, reason = exc.args
+                            # the first bad line: an earlier copy would have failed first
+                            raise CorpusFormatError(f"{path}:{done + lines.index(line) + 1}: {reason}") from None
+                        kept.append(codes[codes >= 0])
+                        dropped += int(np.count_nonzero(codes == _lines.DROPPED))
+                        done += len(lines)
+                    # the distinct lines can outweigh the columns: free them
+                    # before the merges and the columns take memory (a later
+                    # part coded here parses its lines anew)
+                    memo.clear()
+            finally:
+                _stop_helpers(helpers)
+    except OSError as exc:
+        raise CorpusFormatError(f"cannot read corpus {path}: {exc}") from exc
+    form_ids = np.concatenate(kept)
+    del kept
+    functions = form_ids % n
+    form_ids //= n  # in place: at 10M tokens each column takes 80 MB
     # the columns hold by construction what from_columns would check
     return TaggedCorpus._of_valid_columns(spec, tuple(index), form_ids, functions, dropped)
 

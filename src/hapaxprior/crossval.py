@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import TaggedCorpus, shuffled_order
+from .corpus import TaggedCorpus, int64_array, shuffled_order
 from .estimators import ExpectedCounts, PriorEstimate, expected_unseen_counts, hapax_mle, overall_mle
 from .spectrum import SpectrumTable, count_table
 from .stats import TTestResult, paired_t
@@ -37,7 +37,7 @@ class FoldPlan:
     assignments: np.ndarray
 
     def __post_init__(self) -> None:
-        assignments = np.array(self.assignments, dtype=np.int64)
+        assignments = int64_array(self.assignments, "assignments")
         if assignments.ndim != 1 or len(assignments) and not 1 <= assignments.min() <= assignments.max() <= self.k:
             raise ValueError(f"fold assignments must lie in 1..{self.k}")
         assignments.flags.writeable = False

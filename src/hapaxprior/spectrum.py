@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ClassSpec, TaggedCorpus
+from .corpus import ClassSpec, TaggedCorpus, int64_array
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class SpectrumTable:
         totals = tuple(token_totals), tuple(hapax_totals)
         if any(len(t) != spec.n_functions for t in totals):
             raise ValueError("totals length must match the number of functions")
-        per_type = np.array([tc.per_function for tc in types.values()], dtype=np.int64)
+        per_type = int64_array([tc.per_function for tc in types.values()], "per_function")
         self._set(spec, tuple(types), per_type.reshape(-1, spec.n_functions), totals)
 
     @classmethod
@@ -70,7 +70,7 @@ class SpectrumTable:
         return table
 
     def _set(self, spec: ClassSpec, forms: tuple[str, ...], counts, totals=None) -> None:
-        counts = np.array(counts, dtype=np.int64)
+        counts = int64_array(counts, "counts")
         if counts.shape != (len(forms), spec.n_functions) or (counts < 0).any():
             raise ValueError(f"counts must be a non-negative {len(forms)} x {spec.n_functions} array")
         type_totals = counts.sum(axis=1)

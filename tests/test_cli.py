@@ -86,11 +86,19 @@ class TestExitCodes:
             # a label no class-spec map line could name
             ["synth", "--n-types", "3", "--target-tokens", "10", "--functions", "a b,c",
              "--out", str(tmp_path / "s.tsv"), "--spec-out", str(tmp_path / "s.spec")],
+            # two outputs in one file: the corpus would overwrite its sidecar
+            ["synth", "--n-types", "10", "--target-tokens", "20", "--out", str(tmp_path / "s.tsv"),
+             "--truth-out", str(tmp_path / "s.tsv")],
+            ["synth", "--n-types", "10", "--target-tokens", "20", "--out", str(tmp_path / "s.tsv"),
+             "--spec-out", str(tmp_path / "x" / ".." / "s.tsv")],
+            ["synth", "--n-types", "10", "--target-tokens", "20", "--out", str(tmp_path / "s.tsv"),
+             "--spec-out", str(tmp_path / "s.tsv.truth.csv")],
         ]
         for argv in cases:
             code, out, err = run(capsys, *argv)
             assert code == 1, argv
             assert err.strip(), argv
+        assert len(err.strip().splitlines()) == 1 and "name the same file" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["class.spec", "corpus.tsv"]
 
     def test_data_errors_exit_2(self, tmp_path, capsys):

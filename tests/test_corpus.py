@@ -1,7 +1,15 @@
 """Class-spec and corpus file handling, plus the seeded shuffle."""
 
+import ast
+import codecs
+import json
+import os
 import random
 import re
+import subprocess
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +26,10 @@ from hapaxprior import (
     save_corpus,
     shuffle_tokens,
 )
-from hapaxprior import corpus as corpus_module
+from hapaxprior import _lines, corpus as corpus_module
 from hapaxprior.corpus import shuffled_order
+from hapaxprior.crossval import FoldPlan
+from hapaxprior.spectrum import SpectrumTable, TypeCount
 
 import oracles
 from conftest import corpus_of
@@ -260,14 +270,15 @@ class TestColumns:
             text = text[:-1]
         return ("\ufeff" if rng.random() < 0.3 else "") + text
 
-    def test_load_matches_a_line_by_line_oracle(self, tmp_path, en_spec, monkeypatch):
-        path = tmp_path / "corpus.tsv"
+    def check_against_the_oracle(self, path, en_spec, monkeypatch, n_corpora):
+        """Load n_corpora random corpora per block size and compare each with
+        oracles.load_lines; return how many of them were malformed."""
+        errors = 0
         # blocks of 1 and 7 bytes put a block edge inside every break and bad line
-        for block_bytes in (1, 7, corpus_module._BLOCK_BYTES):
-            monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", block_bytes)
+        for block_bytes in (1, 7, _lines.BLOCK_BYTES):
+            monkeypatch.setattr(_lines, "BLOCK_BYTES", block_bytes)
             rng = random.Random(20)
-            errors = 0
-            for _ in range(300):
+            for _ in range(n_corpora):
                 text = self.random_corpus_text(rng)
                 fold_case = rng.random() < 0.5
                 path.write_bytes(text.encode("utf-8"))
@@ -285,7 +296,11 @@ class TestColumns:
                 # the loader skips from_columns' checks; its columns pass them
                 assert corpus == TaggedCorpus.from_columns(
                     en_spec, corpus.forms, corpus.form_ids, corpus.functions, corpus.dropped)
-            assert 50 < errors < 250
+        return errors
+
+    def test_load_matches_a_line_by_line_oracle(self, tmp_path, en_spec, monkeypatch):
+        errors = self.check_against_the_oracle(tmp_path / "corpus.tsv", en_spec, monkeypatch, 300)
+        assert 150 < errors < 750
 
     def test_from_columns_matches_tokens_and_is_read_only(self, ab_spec):
         corpus = TaggedCorpus.from_columns(ab_spec, ("x", "y"), [0, 1, 0], [1, 0, 0], dropped=2)
@@ -307,9 +322,208 @@ class TestColumns:
         with pytest.raises(ValueError):
             TaggedCorpus.from_columns(ab_spec, forms, form_ids, functions)
 
+    @pytest.mark.parametrize("name, build", [
+        ("form_ids", lambda spec: TaggedCorpus.from_columns(spec, ("p", "q"), [0.0, 1.9], [0, 1])),
+        ("functions", lambda spec: TaggedCorpus.from_columns(spec, ("p", "q"), [0, 1], [0, 1.7])),
+        ("form_ids", lambda spec: TaggedCorpus.from_columns(spec, ("p", "q"), ["0", "1"], [0, 1])),
+        ("assignments", lambda spec: FoldPlan(k=2, seed=0, assignments=[1.5, 2.9])),
+        ("assignments", lambda spec: FoldPlan(k=2, seed=0, assignments=["1", "2"])),
+        ("counts", lambda spec: SpectrumTable.from_counts(spec, ("p",), [[1.9, 0.2]])),
+        ("counts", lambda spec: SpectrumTable.from_counts(spec, ("p",), [[True, False]])),
+        ("per_function", lambda spec: SpectrumTable(spec, {"p": TypeCount("p", (1.9, 0.2))}, (1, 0), (1, 0))),
+        ("dropped", lambda spec: TaggedCorpus.from_columns(spec, ("p",), [0], [0], dropped=1.5)),
+        ("dropped", lambda spec: TaggedCorpus.from_columns(spec, ("p",), [0], [0], dropped=-1)),
+    ])
+    def test_column_constructors_refuse_non_integers(self, ab_spec, name, build):
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            build(ab_spec)
+        # empty columns stay valid
+        assert len(TaggedCorpus.from_columns(ab_spec, (), [], [])) == 0
+        assert FoldPlan(k=2, seed=0, assignments=[]).fold_sizes() == [0, 0]
+
     def test_from_columns_checks_the_suffix_per_form(self, en_spec):
         with pytest.raises(ValueError, match="huis"):
             TaggedCorpus.from_columns(en_spec, ("lopen", "huis"), [0, 1], [0, 0])
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Make load_corpus cut every regular file into up to 3 parts; record
+    the number of parts of each load, each helper started and the number
+    of helper results merged."""
+    monkeypatch.setattr(corpus_module, "_PART_BYTES", 1)
+    monkeypatch.setattr(corpus_module, "_usable_cpus", lambda: 3)
+    parts, helper_codes = corpus_module._parts, corpus_module._helper_codes
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            record.started.append(self)
+
+    def counted_parts(*args):
+        result = parts(*args)
+        record.parts.append(len(result))
+        return result
+
+    def counted_merge(*args):
+        result = helper_codes(*args)
+        record.merged += result is not None
+        return result
+
+    record = SimpleNamespace(parts=[], started=[], merged=0, Popen=Recorded)
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    monkeypatch.setattr(corpus_module, "_parts", counted_parts)
+    monkeypatch.setattr(corpus_module, "_helper_codes", counted_merge)
+    return record
+
+
+def serial_load(monkeypatch, *args, **kwargs):
+    """load_corpus as a one-CPU host runs it: what a split load must equal."""
+    with monkeypatch.context() as m:
+        m.setattr(corpus_module, "_usable_cpus", lambda: 1)
+        return load_corpus(*args, **kwargs)
+
+
+def serial_error(monkeypatch, *args) -> str:
+    with pytest.raises(CorpusFormatError) as exc_info:
+        serial_load(monkeypatch, *args)
+    return str(exc_info.value)
+
+
+class TestSplitLoad:
+    LINE = "lopen\tV(inf)\n"  # 13 bytes, as every line of the hand-made files
+
+    def part_starts(self, path):
+        with open(path, "rb") as fh:
+            return [start for start, _, _ in corpus_module._parts(fh, _lines.BLOCK_BYTES)]
+
+    def three_part_file(self, path, monkeypatch, lines):
+        """Write lines in 3 parts, cut at line breaks in 1-byte blocks;
+        return the line number each part starts with."""
+        monkeypatch.setattr(_lines, "BLOCK_BYTES", 1)
+        path.write_text("".join(lines), encoding="utf-8")
+        starts = self.part_starts(path)
+        assert len(starts) == 3 and all(len(line.encode()) == len(self.LINE) for line in lines)
+        return [start // len(self.LINE) + 1 for start in starts]
+
+    def test_split_load_matches_the_oracle(self, tmp_path, en_spec, monkeypatch, split):
+        errors = TestColumns().check_against_the_oracle(tmp_path / "corpus.tsv", en_spec, monkeypatch, 40)
+        assert 0 < errors < 3 * 40
+        assert {1, 2, 3} <= set(split.parts)
+        assert split.merged > 0
+
+    def test_helpers_code_the_later_parts(self, tmp_path, en_spec, monkeypatch, split):
+        monkeypatch.setattr(_lines, "BLOCK_BYTES", 7)
+        path = tmp_path / "corpus.tsv"
+        lines = [self.LINE, "werken\tV(pl)\n", "huis\tV(pl)\n", "eten\tX\n", "# note\n", "\n"] * 40
+        path.write_text("".join(lines) + "lopen\tV(pl)", encoding="utf-8")  # no final line break
+        corpus = load_corpus(path, en_spec)
+        assert [p.returncode for p in split.started] == [0, 0] and split.merged == 2
+        assert corpus == serial_load(monkeypatch, path, en_spec)
+        assert corpus.functions[-1] == 1 and corpus.dropped == 80
+
+    @pytest.mark.parametrize("bad_parts", [(1, 2), (2,), (0, 1, 2)])
+    def test_the_first_bad_line_wins(self, tmp_path, en_spec, monkeypatch, split, bad_parts):
+        path = tmp_path / "corpus.tsv"
+        lines = [self.LINE] * 12
+        starts = self.three_part_file(path, monkeypatch, lines)
+        for part in bad_parts:
+            lines[starts[part]] = "lope\tV(inf)\t\n"  # the second line of the part
+        starts_before = self.part_starts(path)
+        path.write_text("".join(lines), encoding="utf-8")
+        assert self.part_starts(path) == starts_before
+        with pytest.raises(CorpusFormatError) as exc_info:
+            load_corpus(path, en_spec)
+        assert str(exc_info.value) == f"{path}:{starts[bad_parts[0]] + 1}: expected 'form<TAB>tag', got 3 fields"
+        assert str(exc_info.value) == serial_error(monkeypatch, path, en_spec)
+        assert len(split.started) == 2
+
+    def test_a_decode_error_past_a_cut_counts_bytes_after_the_mark(self, tmp_path, en_spec, monkeypatch, split):
+        path = tmp_path / "corpus.tsv"
+        self.three_part_file(path, monkeypatch, [self.LINE] * 12)
+        data = codecs.BOM_UTF8 + path.read_bytes()
+        at = len(data) - 5  # in the last line
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        assert self.part_starts(path)[2] < at
+        with pytest.raises(CorpusFormatError) as exc_info:
+            load_corpus(path, en_spec)
+        assert str(exc_info.value) == (
+            f"cannot read corpus {path}: 'utf-8' codec can't decode byte 0xff in position {at - 3}: invalid start byte")
+        assert str(exc_info.value) == serial_error(monkeypatch, path, en_spec)
+        assert len(split.started) == 2
+
+    def test_a_byte_order_mark_after_a_cut_starts_a_form(self, tmp_path, en_spec, monkeypatch, split):
+        path = tmp_path / "corpus.tsv"
+        lines = [self.LINE] * 12
+        starts = self.three_part_file(path, monkeypatch, lines)
+        lines[starts[1] - 1] = "\ufeffen\tV(inf)\n"  # the first line of the second part
+        assert self.three_part_file(path, monkeypatch, lines) == starts
+        corpus = load_corpus(path, en_spec)
+        assert split.merged == 2
+        assert corpus.forms == ("lopen", "\ufeffen") and len(corpus) == 12
+        assert corpus == serial_load(monkeypatch, path, en_spec)
+
+    @pytest.mark.parametrize("helper", [
+        "import sys; sys.exit(3)",
+        # the real helper's result cut short, with a clean exit
+        "import subprocess, sys; out = subprocess.run(sys.argv[1:], stdout=subprocess.PIPE).stdout;"
+        " sys.stdout.buffer.write(out[:len(out) // 2])",
+    ])
+    def test_a_failed_helper_is_replaced_by_coding_its_part(self, tmp_path, en_spec, monkeypatch, split, helper):
+        path = tmp_path / "corpus.tsv"
+        self.three_part_file(path, monkeypatch, [self.LINE, "werken\tV(pl)\n", "wetten\tV(pl)\n"] * 4)
+        monkeypatch.setattr(subprocess, "Popen", lambda args, **kwargs: split.Popen(
+            [sys.executable, "-c", helper, *args], **kwargs))
+        corpus = load_corpus(path, en_spec)
+        assert len(split.started) == 2 and split.merged == 0
+        assert corpus == serial_load(monkeypatch, path, en_spec)
+
+    def test_a_missing_interpreter_means_a_serial_load(self, tmp_path, en_spec, monkeypatch, split):
+        path = tmp_path / "corpus.tsv"
+        self.three_part_file(path, monkeypatch, [self.LINE, "werken\tV(pl)\n"] * 6)
+        with monkeypatch.context() as m:
+            m.setattr(sys, "executable", str(tmp_path / "no-such-python"))
+            corpus = load_corpus(path, en_spec)
+        assert split.parts == [3, 3] and split.started == []
+        assert corpus == serial_load(monkeypatch, path, en_spec)
+
+    def test_helpers_are_reaped_before_an_error_leaves(self, tmp_path, en_spec, monkeypatch, split):
+        path = tmp_path / "corpus.tsv"
+        self.three_part_file(path, monkeypatch, ["lope\tV(inf)\t\n"] + [self.LINE] * 11)
+        with pytest.raises(CorpusFormatError, match=r"corpus\.tsv:1: expected"):
+            try:
+                load_corpus(path, en_spec)
+            finally:
+                assert len(split.started) == 2
+                assert all(p.returncode is not None and p.stdout.closed for p in split.started)
+
+    def test_a_fifo_loads_serially(self, tmp_path, en_spec, monkeypatch, split):
+        path = tmp_path / "corpus.tsv"
+        self.three_part_file(path, monkeypatch, [self.LINE, "werken\tV(pl)\n"] * 6)
+        fifo = tmp_path / "corpus.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        corpus = load_corpus(fifo, en_spec)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert split.parts[-1] == 1 and split.started == []
+        assert corpus == load_corpus(path, en_spec) and split.merged == 2
+
+    def test_the_helper_imports_neither_numpy_nor_the_package(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("lopen\tV(inf)\nhuis\tV(pl)\n\nwerken\tV(pl)\nlopen\tV(pl)\n", encoding="utf-8")
+        job = json.dumps([str(path), 0, path.stat().st_size, 7, {"V(inf)": 0, "V(pl)": 1}, 2, "en", False])
+        run = ("import runpy, sys; sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__');"
+               " sys.stderr.write(repr(sorted(sys.modules)))")
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", run, _lines.__file__, job],
+                              capture_output=True, cwd=tmp_path, check=True)
+        assert not [m for m in ast.literal_eval(done.stderr.decode()) if m.split(".")[0] in ("numpy", "hapaxprior")]
+        n_lines, n_forms, n_joined = _lines.HEADER.unpack_from(done.stdout)
+        assert np.frombuffer(done.stdout, np.int64, n_lines, _lines.HEADER.size).tolist() == [
+            0, _lines.DROPPED, _lines.SKIPPED, 3, 1]
+        assert done.stdout[len(done.stdout) - n_joined:].decode().split("\n") == ["lopen", "werken"]
+        assert n_forms == 2
 
 
 class TestShuffle:
