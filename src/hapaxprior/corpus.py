@@ -17,7 +17,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, filterfalse
+from itertools import chain, repeat
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -361,11 +361,15 @@ def _stop_helpers(helpers: list) -> None:
             proc.stdout.close()
 
 
-def _helper_codes(proc, index: dict[str, int], n: int, max_lines: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(codes, cell_map) from a helper: the code of each line of its part,
-    and per cell of its own form numbering the cell under index's numbering,
-    index extended by its new forms in first-occurrence order.  None, with
-    index untouched, if the helper failed or wrote a malformed result."""
+def _helper_codes(proc, index: dict[str, int], n: int, max_lines: int,
+                  last: bool) -> tuple[np.ndarray, np.ndarray, list[str]] | None:
+    """(codes, cell_map, unindexed) from a helper: the code of each line of
+    its part, and per cell of its own form numbering the cell under index's
+    numbering, the forms index lacks numbered after index's in the helper's
+    order.  Those forms enter index, unless the part is the last: no later
+    part looks them up, so they are returned as unindexed, to follow index's
+    forms.  None, with index untouched, if the helper failed, wrote a
+    malformed result or repeated a form."""
     out = proc.stdout
     try:
         n_lines, n_forms, n_joined = _lines.HEADER.unpack(out.read(_lines.HEADER.size))
@@ -382,10 +386,18 @@ def _helper_codes(proc, index: dict[str, int], n: int, max_lines: int) -> tuple[
         return None
     if len(forms) != n_forms or len(codes) and not _lines.SKIPPED <= codes.min() <= codes.max() < n_forms * n:
         return None
-    new = list(filterfalse(index.__contains__, forms))
-    index.update(zip(new, range(len(index), len(index) + len(new))))
-    ids = np.fromiter(map(index.__getitem__, forms), np.int64, n_forms)
-    return codes, (ids[:, None] * n + np.arange(n)).ravel()
+    ids = np.fromiter(map(index.get, forms, repeat(-1)), np.int64, n_forms)  # one lookup per form
+    new = np.flatnonzero(ids < 0)
+    ids[new] = np.arange(len(index), len(index) + len(new))
+    fresh = list(map(forms.__getitem__, new.tolist()))
+    # a repeated form would be numbered twice if new, and share an id if not
+    if len(set(fresh)) < len(fresh) or np.bincount(ids).max(initial=0) > 1:
+        return None
+    cell_map = (ids[:, None] * n + np.arange(n)).ravel()
+    if last:
+        return codes, cell_map, fresh
+    index.update(zip(fresh, ids[new].tolist()))
+    return codes, cell_map, []
 
 
 def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False) -> TaggedCorpus:
@@ -412,6 +424,7 @@ def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False) -> T
     memo, index = _lines.coder(function_of, n, spec.suffix, fold_case)
     code = memo.__getitem__
     kept = [np.empty(0, np.int64)]
+    unindexed: list[str] = []  # the last helper's new forms, numbered after index's
     dropped = done = 0  # done: lines before the piece being coded
     try:
         with open(path, "rb") as fh:
@@ -420,9 +433,9 @@ def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False) -> T
             helpers = _start_helpers(path, parts[1:], block_bytes, function_of, n, spec.suffix, fold_case)
             try:
                 for (start, end, offset), helper in zip(parts, [None, *helpers]):
-                    merged = helper and _helper_codes(helper, index, n, end - start)
+                    merged = helper and _helper_codes(helper, index, n, end - start, helper is helpers[-1])
                     if merged:
-                        codes, cell_map = merged
+                        codes, cell_map, unindexed = merged
                         kept.append(cell_map[codes[codes >= 0]])
                         dropped += int(np.count_nonzero(codes == _lines.DROPPED))
                         done += len(codes)
@@ -452,7 +465,7 @@ def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False) -> T
     functions = form_ids % n
     form_ids //= n  # in place: at 10M tokens each column takes 80 MB
     # the columns hold by construction what from_columns would check
-    return TaggedCorpus._of_valid_columns(spec, tuple(index), form_ids, functions, dropped)
+    return TaggedCorpus._of_valid_columns(spec, tuple(chain(index, unindexed)), form_ids, functions, dropped)
 
 
 def save_corpus(corpus: TaggedCorpus, path: str | Path, header: str | None = None) -> None:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .corpus import TaggedCorpus, int64_array, shuffled_order
 from .estimators import ExpectedCounts, PriorEstimate, expected_unseen_counts, hapax_mle, overall_mle
-from .spectrum import SpectrumTable, count_table
+from .spectrum import SpectrumTable, _cell_table, _token_cells
 from .stats import TTestResult, paired_t
 
 
@@ -86,40 +86,48 @@ class CrossValReport:
     ttest_h: TTestResult
 
 
+def _fold_bounds(n: int, k: int) -> list[int]:
+    """Fold f of n shuffled positions is the slice bounds[f - 1]:bounds[f]:
+    k contiguous parts whose sizes differ by at most one, the remainder one
+    per fold to the lowest-indexed folds.  ValueError for k < 2 or k > n."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if k > n:
+        raise ValueError(f"k = {k} exceeds the token count {n}")
+    base, extra = divmod(n, k)
+    return [fold * base + min(fold, extra) for fold in range(k + 1)]
+
+
 def make_folds(corpus: TaggedCorpus, k: int, seed: int) -> FoldPlan:
     """Partition token positions into k near-equal folds, seeded.
 
     The plan equals shuffling with shuffle_tokens(corpus, seed) and slicing
     the result contiguously; its assignments are a read-only int64 array.
     The shuffle is random.Random(seed).shuffle's, computed in numpy by
-    shuffled_order.
+    shuffled_order.  run_crossval scores the same folds.
     """
     n = len(corpus)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if k > n:
-        raise ValueError(f"k = {k} exceeds the token count {n}")
-    base, extra = divmod(n, k)
-    sizes = [base + (1 if fold <= extra else 0) for fold in range(1, k + 1)]
+    bounds = _fold_bounds(n, k)
     assignments = np.empty(n, dtype=np.int64)
-    assignments[shuffled_order(n, seed)] = np.repeat(np.arange(1, k + 1), sizes)
+    assignments[shuffled_order(n, seed)] = np.repeat(np.arange(1, k + 1), np.diff(bounds))
     return FoldPlan(k=k, seed=seed, assignments=assignments)
 
 
-def _fold_scorer(corpus: TaggedCorpus, plan: FoldPlan) -> Callable[[int], FoldResult]:
-    """The fold computation shared by run_fold and run_crossval.
+def _fold_scorer(corpus: TaggedCorpus) -> Callable[[int, np.ndarray], FoldResult]:
+    """The fold computation shared by run_fold and run_crossval:
+    score(fold, positions) scores the fold whose tokens are at positions.
 
-    The whole-corpus form-by-function table is counted once; a fold's
-    training table is that table minus the counts of its held-out tokens
-    (deleted estimation), so no fold rebuilds a spectrum.
+    The cell of every token and the whole-corpus form-by-function table are
+    computed once; a fold's training table is that table minus the counts
+    of its held-out tokens (deleted estimation), so no fold rebuilds a
+    spectrum, and it is non-negative by construction.
     """
-    if len(plan.assignments) != len(corpus):
-        raise ValueError("plan does not cover this corpus")
-    full = count_table(corpus)
+    cells = _token_cells(corpus)
+    full = _cell_table(corpus, cells)
 
-    def score(fold: int) -> FoldResult:
-        held = count_table(corpus, np.flatnonzero(plan.assignments == fold))
-        train = SpectrumTable.from_counts(corpus.spec, corpus.forms, full - held)
+    def score(fold: int, positions: np.ndarray) -> FoldResult:
+        held = _cell_table(corpus, cells[positions])
+        train = SpectrumTable._of_valid_counts(corpus.spec, corpus.forms, full - held)
         omle = overall_mle(train)
         hmle = hapax_mle(train)
         # N0: the held-out tokens of forms with no training token
@@ -150,7 +158,9 @@ def run_fold(corpus: TaggedCorpus, plan: FoldPlan, fold: int) -> FoldResult:
     """
     if not 1 <= fold <= plan.k:
         raise ValueError(f"fold must be in 1..{plan.k}, got {fold}")
-    return _fold_scorer(corpus, plan)(fold)
+    if len(plan.assignments) != len(corpus):
+        raise ValueError("plan does not cover this corpus")
+    return _fold_scorer(corpus)(fold, np.flatnonzero(plan.assignments == fold))
 
 
 def run_crossval(
@@ -176,15 +186,17 @@ def run_crossval(
     if num == den:
         raise ValueError(f"ratio needs two different labels, got {ratio[0]!r}/{ratio[1]!r}")
 
+    # the folds of make_folds(corpus, k, seed), as slices of the shuffle
     try:
-        plan = make_folds(corpus, k, seed)
+        bounds = _fold_bounds(len(corpus), k)
+        order = shuffled_order(len(corpus), seed)
     except ValueError as exc:
         raise CrossValError(None, f"cannot split into folds: {exc}") from exc
-    score = _fold_scorer(corpus, plan)
+    score = _fold_scorer(corpus)
     folds: list[FoldResult] = []
     for fold in range(1, k + 1):
         try:
-            folds.append(score(fold))
+            folds.append(score(fold, order[bounds[fold - 1]:bounds[fold]]))
         except (ValueError, ArithmeticError) as exc:
             raise CrossValError(fold, str(exc)) from exc
 

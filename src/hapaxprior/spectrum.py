@@ -59,20 +59,25 @@ class SpectrumTable:
         totals = tuple(token_totals), tuple(hapax_totals)
         if any(len(t) != spec.n_functions for t in totals):
             raise ValueError("totals length must match the number of functions")
+        forms = tuple(types)
         per_type = int64_array([tc.per_function for tc in types.values()], "per_function")
-        self._set(spec, tuple(types), per_type.reshape(-1, spec.n_functions), totals)
+        self._set(spec, forms, _valid_counts(spec, forms, per_type.reshape(-1, spec.n_functions)), totals)
 
     @classmethod
     def from_counts(cls, spec: ClassSpec, forms: Sequence[str], counts: np.ndarray) -> SpectrumTable:
         """A table of (a copy of) `counts`, with its token and hapax totals derived."""
+        forms = tuple(forms)
+        return cls._of_valid_counts(spec, forms, _valid_counts(spec, forms, counts))
+
+    @classmethod
+    def _of_valid_counts(cls, spec: ClassSpec, forms: tuple[str, ...], counts: np.ndarray) -> SpectrumTable:
+        """from_counts of an int64 array that passes its checks, unchecked; it
+        takes the array over and makes it read-only."""
         table = cls.__new__(cls)
-        table._set(spec, tuple(forms), counts)
+        table._set(spec, forms, counts)
         return table
 
-    def _set(self, spec: ClassSpec, forms: tuple[str, ...], counts, totals=None) -> None:
-        counts = int64_array(counts, "counts")
-        if counts.shape != (len(forms), spec.n_functions) or (counts < 0).any():
-            raise ValueError(f"counts must be a non-negative {len(forms)} x {spec.n_functions} array")
+    def _set(self, spec: ClassSpec, forms: tuple[str, ...], counts: np.ndarray, totals=None) -> None:
         type_totals = counts.sum(axis=1)
         if totals is None:  # hapax_totals sums the rows of the forms with exactly one token
             totals = counts.sum(axis=0).tolist(), ((type_totals == 1) @ counts).tolist()
@@ -114,15 +119,34 @@ class ClassProportionPoint:
         return math.log(self.frequency)
 
 
-def count_table(corpus: TaggedCorpus, select: np.ndarray | slice = slice(None)) -> np.ndarray:
-    """Tokens per form (rows, in corpus.forms order) and function (columns)
-    among the tokens at `select` (positions or a mask; default all), read-only."""
+def _valid_counts(spec: ClassSpec, forms: tuple[str, ...], counts) -> np.ndarray:
+    """An int64 copy of counts; ValueError unless it is a non-negative
+    len(forms) x spec.n_functions array of integers."""
+    counts = int64_array(counts, "counts")
+    if counts.shape != (len(forms), spec.n_functions) or (counts < 0).any():
+        raise ValueError(f"counts must be a non-negative {len(forms)} x {spec.n_functions} array")
+    return counts
+
+
+def _token_cells(corpus: TaggedCorpus, select: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """The cell function * len(forms) + form_id of each token at `select`:
+    its place in a column-major form-by-function table, where each
+    function's column is contiguous, which keeps row and column sums fast."""
+    return corpus.functions[select] * len(corpus.forms) + corpus.form_ids[select]
+
+
+def _cell_table(corpus: TaggedCorpus, cells: np.ndarray) -> np.ndarray:
+    """count_table of the tokens whose _token_cells are `cells`."""
     n, n_forms = corpus.spec.n_functions, len(corpus.forms)
-    cells = corpus.functions[select] * n_forms + corpus.form_ids[select]
-    # column-major: each function's column is contiguous, which keeps row and column sums fast
     counts = np.bincount(cells, minlength=n * n_forms).reshape(n, n_forms).T
     counts.flags.writeable = False
     return counts
+
+
+def count_table(corpus: TaggedCorpus, select: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """Tokens per form (rows, in corpus.forms order) and function (columns)
+    among the tokens at `select` (positions or a mask; default all), read-only."""
+    return _cell_table(corpus, _token_cells(corpus, select))
 
 
 def build_spectrum(corpus: TaggedCorpus) -> SpectrumTable:

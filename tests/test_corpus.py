@@ -390,6 +390,18 @@ def serial_error(monkeypatch, *args) -> str:
     return str(exc_info.value)
 
 
+def repeating_helper(repeat: str) -> str:
+    """A helper that runs the real one and appends to its result the forms
+    that `repeat`, a bytes expression over that result `out`, joins."""
+    return (
+        f"import struct, subprocess, sys; header = struct.Struct({_lines.HEADER.format!r});"
+        " out = subprocess.run(sys.argv[1:], stdout=subprocess.PIPE).stdout;"
+        f" n_lines, n_forms, n_joined = header.unpack_from(out); repeat = {repeat};"
+        " sys.stdout.buffer.write(header.pack(n_lines, n_forms + repeat.count(b'\\n') + 1, n_joined + 1 + len(repeat))"
+        " + out[header.size:] + b'\\n' + repeat)"
+    )
+
+
 class TestSplitLoad:
     LINE = "lopen\tV(inf)\n"  # 13 bytes, as every line of the hand-made files
 
@@ -468,6 +480,9 @@ class TestSplitLoad:
         # the real helper's result cut short, with a clean exit
         "import subprocess, sys; out = subprocess.run(sys.argv[1:], stdout=subprocess.PIPE).stdout;"
         " sys.stdout.buffer.write(out[:len(out) // 2])",
+        # the real helper's result with a form of the first part repeated, or a new form twice
+        repeating_helper("out[len(out) - n_joined:].split(b'\\n')[0]"),
+        repeating_helper("b'nieuwen\\nnieuwen'"),
     ])
     def test_a_failed_helper_is_replaced_by_coding_its_part(self, tmp_path, en_spec, monkeypatch, split, helper):
         path = tmp_path / "corpus.tsv"

@@ -15,10 +15,20 @@ from hapaxprior import (
     run_fold,
     shuffle_tokens,
 )
+from hapaxprior import crossval as crossval_module
 from hapaxprior.corpus import shuffled_order
 
 import oracles
 from conftest import corpus_of, random_pairs
+
+
+def fold_cases(rng, count):
+    """(n, k, seed) triples: k == 2, k == n and k in between, most with n % k != 0."""
+    cases = []
+    for _ in range(count):
+        n = rng.randint(2, 90)
+        cases.append((n, rng.choice([2, rng.randint(2, n), n]), rng.randrange(1000)))
+    return cases
 
 
 def hapax_rich_corpus(ab_spec, rng, n=60):
@@ -222,12 +232,40 @@ class TestRunCrossval:
         assert report.ttest_h == paired_t(obs, eh)
         assert report.ttest_o.df == 4
 
-    def test_folds_match_run_fold(self, ab_spec):
-        corpus = hapax_rich_corpus(ab_spec, random.Random(7), n=60)
-        report = run_crossval(corpus, k=3, seed=11)
-        plan = make_folds(corpus, 3, 11)
-        for fold in range(1, 4):
-            assert report.folds[fold - 1] == run_fold(corpus, plan, fold)
+    @pytest.mark.parametrize("n, k, seed", [(60, 3, 11), (61, 7, 5), (12, 12, 3), (2, 2, 0)]
+                             + fold_cases(random.Random(31), 16))
+    def test_folds_match_run_fold(self, ab_spec, monkeypatch, n, k, seed):
+        corpus = hapax_rich_corpus(ab_spec, random.Random(7), n=n)
+        plan = make_folds(corpus, k, seed)
+        want = [run_fold(corpus, plan, fold) for fold in range(1, k + 1)]
+        # every fold run_crossval scores, also where a zero ratio denominator ends the run
+        scored = []
+        scorer = crossval_module._fold_scorer
+
+        def recording_scorer(corpus):
+            score = scorer(corpus)
+            return lambda fold, positions: scored.append(score(fold, positions)) or scored[-1]
+
+        monkeypatch.setattr(crossval_module, "_fold_scorer", recording_scorer)
+        try:
+            report = run_crossval(corpus, k, seed)
+        except CrossValError as exc:
+            assert "zero denominator" in str(exc)
+        else:
+            assert list(report.folds) == want
+        assert scored == want
+
+    @pytest.mark.parametrize("k, message", [
+        (1, "cannot split into folds: k must be >= 2, got 1"),
+        (0, "cannot split into folds: k must be >= 2, got 0"),
+        (5, "cannot split into folds: k = 5 exceeds the token count 3"),
+    ])
+    def test_a_k_the_corpus_cannot_be_split_into(self, ab_spec, k, message):
+        corpus = corpus_of(ab_spec, [("w", 0), ("x", 1), ("y", 0)])
+        with pytest.raises(CrossValError) as exc_info:
+            run_crossval(corpus, k, 0)
+        assert exc_info.value.fold is None
+        assert str(exc_info.value) == message
 
     def test_ratio_orientation_flips_t_direction(self, ab_spec):
         corpus = hapax_rich_corpus(ab_spec, random.Random(19), n=90)
