@@ -17,7 +17,6 @@ from .corpus import (
     load_corpus,
     save_class_spec,
     save_corpus,
-    shuffle_tokens,
 )
 from .crossval import (
     CrossValError,
@@ -94,7 +93,6 @@ __all__ = [
     "save_class_spec",
     "save_corpus",
     "save_truth",
-    "shuffle_tokens",
     "two_sided_p",
     "zipf_token_counts",
     "__version__",

@@ -1,8 +1,9 @@
 """Line coding of ``form<TAB>tag`` files, with the standard library only.
 
-load_corpus reads a corpus through pieces() and codes its lines through
-coder().  Run as a script, this module codes one byte range of a corpus in
-a helper interpreter::
+code_part() codes the lines of one byte range of a corpus; it is the only
+line coder.  load_corpus runs it on a corpus's first part, and on any part
+whose helper failed.  Run as a script, this module runs it on one byte
+range in a helper interpreter::
 
     python -I -S _lines.py JOB
 
@@ -33,16 +34,22 @@ DROPPED = -1  # suffix miss or unmapped tag
 HEADER = struct.Struct("<3Q")
 
 
+class BadLine(ValueError):
+    """A data line that is not ``form<TAB>tag``; code_part raises it with the
+    line's index in its part and the reason."""
+
+
+class BadBytes(ValueError):
+    """Bytes that are not UTF-8; args are the UnicodeDecodeError and the
+    number of bytes of the part before the piece it was raised on."""
+
+
 def pieces(fh: BufferedReader, start: int, end: int | None, block_bytes: int) -> Iterator[bytes]:
     """The bytes of fh from start, where fh stands, to end (None: to the end
-    of the file), in pieces that each end after the last b"\\n" of a block,
-    the last one at end.
-
-    Blocks lie where a read of the whole file puts them: 3 bytes, then
-    block_bytes each.  So a range that starts and ends where such a read's
-    pieces end yields that read's pieces.  At start 0 a leading UTF-8
-    byte-order mark is dropped; a file shorter than the mark and a prefix of
-    it has no bytes, as under the utf-8-sig codec.
+    of the file), in block_bytes reads joined into pieces that each end after
+    the last b"\\n" of a read, the last one at end.  At start 0 a leading
+    UTF-8 byte-order mark is dropped; a file shorter than the mark and a
+    prefix of it has no bytes, as under the utf-8-sig codec.
     """
     pending: list[bytes] = []  # since the last b"\n"
     pos = start
@@ -52,8 +59,7 @@ def pieces(fh: BufferedReader, start: int, end: int | None, block_bytes: int) ->
             pending.append(head)
         pos = len(head)
     while end is None or pos < end:
-        size = block_bytes - (pos - 3) % block_bytes
-        block = fh.read(size if end is None else min(size, end - pos))
+        block = fh.read(block_bytes if end is None else min(block_bytes, end - pos))
         if not block:
             break
         pos += len(block)
@@ -69,20 +75,36 @@ def pieces(fh: BufferedReader, start: int, end: int | None, block_bytes: int) ->
         yield rest
 
 
-class BadLine(ValueError):
-    """A data line that is not ``form<TAB>tag``; args are the line and the reason."""
+def line_lists(fh: BufferedReader, start: int, end: int | None, block_bytes: int) -> Iterator[list[str]]:
+    """The str.splitlines() lines of each of pieces(fh, start, end, block_bytes).
+
+    A cut after b"\\n" is always a splitlines() boundary (b"\\r\\n" stays
+    whole) and b"\\n" never occurs inside a UTF-8 sequence, so each piece
+    decodes and splits as the whole text would.  A piece that is not UTF-8
+    yields the lines before its bad byte's line, then raises BadBytes: the
+    first bad line or bad byte of a file is met first wherever pieces end.
+    """
+    before = 0
+    for piece in pieces(fh, start, end, block_bytes):
+        try:
+            text = piece.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # "x" ends the bad byte's line, so that it is always the one dropped
+            yield (piece[:exc.start].decode("utf-8") + "x").splitlines()[:-1]
+            raise BadBytes(exc, before) from None
+        yield text.splitlines()
+        before += len(piece)
 
 
-def coder(function_of: dict[str, int], n: int, suffix: str, fold_case: bool) -> tuple[dict[str, int], dict[str, int]]:
-    """(memo, forms) for one load.
+def code_part(fh: BufferedReader, start: int, end: int | None, block_bytes: int, function_of: dict[str, int],
+              n: int, suffix: str, fold_case: bool) -> tuple[array, dict[str, int]]:
+    """(codes, forms) of the lines of bytes start..end of fh, read from start
+    (where fh stands when start is 0, so it may be a pipe).
 
-    memo[line] is form_id * n + function for a kept line, DROPPED for a
-    suffix miss or an unmapped tag and SKIPPED for a blank or '#' line; a
-    malformed data line raises BadLine.  memo keeps every distinct line it
-    has coded; clearing it only makes the next lines slower to code.  forms
-    maps each kept form to its id; memo numbers new forms len(forms),
-    len(forms) + 1, ... as it meets them, so forms added by the caller
-    between lines keep their ids.
+    codes holds form_id * n + function for a kept line, DROPPED for a suffix
+    miss or an unmapped tag and SKIPPED for a blank or '#' line; forms maps
+    each kept form to its id, in first-occurrence order.  A malformed data
+    line raises BadLine, bytes that are not UTF-8 BadBytes (see line_lists).
     """
     forms: dict[str, int] = {}
 
@@ -111,21 +133,27 @@ def coder(function_of: dict[str, int], n: int, suffix: str, fold_case: bool) -> 
             self[line] = code
             return code
 
-    return Codes(), forms
+    code = Codes().__getitem__
+    codes = array("q")
+    if start:
+        fh.seek(start)
+    for lines in line_lists(fh, start, end, block_bytes):
+        try:
+            codes.fromlist(list(map(code, lines)))  # faster than extend(map(...))
+        except BadLine as exc:
+            line, reason = exc.args
+            # the line's first copy failed: a line once coded is never bad
+            raise BadLine(len(codes) + lines.index(line), reason) from None
+    return codes, forms
 
 
 def main(job: str) -> None:
     """Code the byte range JOB names and write the result to stdout."""
     import json
 
-    path, start, end, block_bytes, function_of, n, suffix, fold_case = json.loads(job)
-    memo, forms = coder(function_of, n, suffix, fold_case)
-    codes = array("q")
+    path, start, *rest = json.loads(job)
     with open(path, "rb") as fh:
-        fh.seek(start)
-        for piece in pieces(fh, start, end, block_bytes):
-            codes.extend(map(memo.__getitem__, piece.decode("utf-8").splitlines()))
-    memo.clear()
+        codes, forms = code_part(fh, start, *rest)
     joined = "\n".join(forms).encode("utf-8")
     out = sys.stdout.buffer
     out.write(HEADER.pack(len(codes), len(forms), len(joined)))

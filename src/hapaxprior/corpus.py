@@ -17,9 +17,9 @@ import struct
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +38,14 @@ def int64_array(values, name: str) -> np.ndarray:
     if array.size and array.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integers, not {array.dtype} values")
     return np.array(array, dtype=np.int64)
+
+
+def _numbers_in_order(form_ids: np.ndarray, n_forms: int) -> bool:
+    """Whether form_ids number n_forms forms in first-occurrence order, each
+    of them used: every id is at most one above every id before it, and the
+    largest is n_forms - 1."""
+    running = np.maximum.accumulate(np.concatenate(([-1], form_ids)))
+    return form_ids.min(initial=0) >= 0 and not (np.diff(running) > 1).any() and running[-1] == n_forms - 1
 
 
 @dataclass(frozen=True)
@@ -141,10 +149,7 @@ class TaggedCorpus:
                 raise ValueError("token form is empty")
             if not form.endswith(spec.suffix):
                 raise ValueError(f"token {form!r} does not end with {spec.suffix!r}")
-        # each id is at most one above every id before it: forms are numbered
-        # in first-occurrence order and every form occurs
-        running = np.maximum.accumulate(np.concatenate(([-1], form_ids)))
-        if form_ids.min(initial=0) < 0 or (np.diff(running) > 1).any() or running[-1] != len(forms) - 1:
+        if not _numbers_in_order(form_ids, len(forms)):
             raise ValueError("form_ids must number every form in first-occurrence order")
         n = spec.n_functions
         bad = np.flatnonzero((functions < 0) | (functions >= n))
@@ -190,36 +195,18 @@ class TaggedCorpus:
         )
 
 
-def _decode_error(exc: UnicodeDecodeError, offset: int) -> str:
-    """The codec's message for exc, its position counted offset bytes on."""
-    start = exc.start + offset
-    if exc.end - exc.start == 1:
-        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+def _unreadable(what: str, path: str | Path, exc: _lines.BadBytes, offset: int = 0) -> CorpusFormatError:
+    """CorpusFormatError("cannot read <what> <path>: ...") with the codec's
+    message for exc, its position counted in bytes after a leading
+    byte-order mark, as decoding the whole file with utf-8-sig counts it;
+    offset is the number of those bytes before the part exc was raised in."""
+    error, before = exc.args
+    offset += before
+    if error.end - error.start == 1:
+        where = f"byte 0x{error.object[error.start]:02x} in position {error.start + offset}"
     else:
-        where = f"bytes in position {start}-{exc.end - 1 + offset}"
-    return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
-
-
-def _decoded_pieces(fh: BinaryIO, path: str | Path, what: str, start: int = 0, end: int | None = None,
-                    offset: int = 0) -> Iterator[list[str]]:
-    """The str.splitlines() lines of bytes start..end of fh, where fh stands,
-    as one list per piece of _lines.pieces.  offset is the number of bytes
-    after a leading byte-order mark that lie before start.
-
-    A cut after b"\n" is always a splitlines() boundary (b"\r\n" stays
-    whole) and b"\n" never occurs inside a UTF-8 sequence, so each piece
-    decodes and splits on its own as the whole text would.  A decode error
-    raises CorpusFormatError("cannot read <what> <path>: ...") with its
-    position counted in bytes after the mark, as decoding the whole file
-    with utf-8-sig does.
-    """
-    for piece in _lines.pieces(fh, start, end, _lines.BLOCK_BYTES):
-        try:
-            text = piece.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorpusFormatError(f"cannot read {what} {path}: {_decode_error(exc, offset)}") from exc
-        yield text.splitlines()
-        offset += len(piece)
+        where = f"bytes in position {error.start + offset}-{error.end - 1 + offset}"
+    return CorpusFormatError(f"cannot read {what} {path}: '{error.encoding}' codec can't decode {where}: {error.reason}")
 
 
 def read_line_list(path: str | Path, what: str) -> list[tuple[int, str]]:
@@ -230,9 +217,11 @@ def read_line_list(path: str | Path, what: str) -> list[tuple[int, str]]:
         with open(path, "rb") as fh:
             return [
                 (no, line.strip())
-                for no, line in enumerate(chain.from_iterable(_decoded_pieces(fh, path, what)), start=1)
+                for no, line in enumerate(chain.from_iterable(_lines.line_lists(fh, 0, None, _lines.BLOCK_BYTES)), 1)
                 if line.strip() and not line.lstrip().startswith("#")
             ]
+    except _lines.BadBytes as exc:
+        raise _unreadable(what, path, exc) from None
     except OSError as exc:
         raise CorpusFormatError(f"cannot read {what} {path}: {exc}") from exc
 
@@ -292,17 +281,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _parts(fh: BinaryIO, block_bytes: int) -> list[tuple[int, int | None, int]]:
+def _parts(fh: BinaryIO) -> list[tuple[int, int | None, int]]:
     """(start, end, offset) of each part load_corpus codes on its own: end
     None reads to the end of the stream, and offset counts the bytes before
     start that follow a leading byte-order mark.
 
     One part, the whole stream, unless fh is a regular file of at least two
     parts of _PART_BYTES and the process may use 2 or more CPUs; then at most
-    one part per usable CPU and per _PART_BYTES.  Each inner bound is where
-    a piece of _lines.pieces ends: after the last b"\n" of the block that
-    ends nearest an even share of the file, or of the next block with one,
-    so every part yields the pieces a serial read yields there.
+    one part per usable CPU and per _PART_BYTES.  Each inner bound lies right
+    after the first b"\n" at or after its share of the file minus one byte;
+    a share whose bound would not lie past the one before it gets none.
     """
     info = os.fstat(fh.fileno())
     size = info.st_size
@@ -311,19 +299,13 @@ def _parts(fh: BinaryIO, block_bytes: int) -> list[tuple[int, int | None, int]]:
         return [(0, None, 0)]
     bounds = [0]
     for i in range(1, n_parts):
-        # the block ending nearest the share; blocks lie after the first 3 bytes
-        j = max(0, (size * i // n_parts - 3 + block_bytes // 2) // block_bytes - 1)
-        while True:
-            at = 3 + j * block_bytes
-            fh.seek(at)
-            block = fh.read(block_bytes)
-            last = block.rfind(b"\n")
-            if not block or last >= 0 and at + last + 1 > bounds[-1]:
-                break
-            j += 1
-        if not block or at + last + 1 >= size:
+        fh.seek(size * i // n_parts - 1)
+        while (line := fh.readline(_lines.BLOCK_BYTES)) and not line.endswith(b"\n"):
+            pass
+        if (at := fh.tell()) >= size:
             break
-        bounds.append(at + last + 1)
+        if at > bounds[-1]:
+            bounds.append(at)
     bounds.append(size)
     fh.seek(0)
     mark = len(codecs.BOM_UTF8) if fh.read(3) == codecs.BOM_UTF8 else 0
@@ -331,10 +313,10 @@ def _parts(fh: BinaryIO, block_bytes: int) -> list[tuple[int, int | None, int]]:
     return [(start, end, start and start - mark) for start, end in zip(bounds, bounds[1:])]
 
 
-def _start_helpers(path: Path, parts: list[tuple[int, int | None, int]], block_bytes: int,
-                   function_of: dict[str, int], n: int, suffix: str, fold_case: bool) -> list:
+def _start_helpers(path: Path, parts: list[tuple[int, int | None, int]], job: tuple) -> list:
     """One helper interpreter per part, each running _lines as a script on
-    its byte range; None for a part whose helper could not be started."""
+    its byte range and job, the arguments of _lines.code_part after end; None
+    for a part whose helper could not be started."""
     if not parts:
         return []
     import json
@@ -342,10 +324,9 @@ def _start_helpers(path: Path, parts: list[tuple[int, int | None, int]], block_b
 
     helpers = []
     for start, end, _ in parts:
-        job = json.dumps([os.fspath(path), start, end, block_bytes, function_of, n, suffix, fold_case])
         try:
             helpers.append(subprocess.Popen(
-                [sys.executable, "-I", "-S", _lines.__file__, job],
+                [sys.executable, "-I", "-S", _lines.__file__, json.dumps([os.fspath(path), start, end, *job])],
                 stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL))
         except OSError:
             helpers.append(None)
@@ -361,15 +342,12 @@ def _stop_helpers(helpers: list) -> None:
             proc.stdout.close()
 
 
-def _helper_codes(proc, index: dict[str, int], n: int, max_lines: int,
-                  last: bool) -> tuple[np.ndarray, np.ndarray, list[str]] | None:
-    """(codes, cell_map, unindexed) from a helper: the code of each line of
-    its part, and per cell of its own form numbering the cell under index's
-    numbering, the forms index lacks numbered after index's in the helper's
-    order.  Those forms enter index, unless the part is the last: no later
-    part looks them up, so they are returned as unindexed, to follow index's
-    forms.  None, with index untouched, if the helper failed, wrote a
-    malformed result or repeated a form."""
+def _helper_result(proc, n: int, max_lines: int) -> tuple[np.ndarray, list[str]] | None:
+    """(codes, forms) a helper wrote, as _lines.code_part returns them (forms
+    as a list); None if it failed or wrote a malformed result: one with more
+    than max_lines lines, a code out of range, forms that are not all used in
+    first-occurrence order, or a repeated form (which the merge would number
+    twice if new, and give one id if not)."""
     out = proc.stdout
     try:
         n_lines, n_forms, n_joined = _lines.HEADER.unpack(out.read(_lines.HEADER.size))
@@ -384,20 +362,27 @@ def _helper_codes(proc, index: dict[str, int], n: int, max_lines: int,
         forms = joined.decode("utf-8").split("\n") if n_forms else []
     except (OSError, ValueError, struct.error):
         return None
-    if len(forms) != n_forms or len(codes) and not _lines.SKIPPED <= codes.min() <= codes.max() < n_forms * n:
+    if (len(forms) != n_forms or codes.min(initial=0) < _lines.SKIPPED
+            or not _numbers_in_order(codes[codes >= 0] // n, n_forms) or len(set(forms)) < n_forms):
         return None
-    ids = np.fromiter(map(index.get, forms, repeat(-1)), np.int64, n_forms)  # one lookup per form
-    new = np.flatnonzero(ids < 0)
-    ids[new] = np.arange(len(index), len(index) + len(new))
-    fresh = list(map(forms.__getitem__, new.tolist()))
-    # a repeated form would be numbered twice if new, and share an id if not
-    if len(set(fresh)) < len(fresh) or np.bincount(ids).max(initial=0) > 1:
-        return None
-    cell_map = (ids[:, None] * n + np.arange(n)).ravel()
-    if last:
-        return codes, cell_map, fresh
-    index.update(zip(fresh, ids[new].tolist()))
-    return codes, cell_map, []
+    return codes, forms
+
+
+def _merge_forms(index: dict[str, int], forms: Collection[str], n: int, last: bool) -> tuple[np.ndarray, list[str]]:
+    """(cell_map, unindexed) for a part whose distinct forms, in its own
+    numbering, are forms: per cell of that numbering the cell under index's
+    numbering, where the forms index lacks are numbered after index's, in
+    the part's order.  Those forms enter index, unless the part is the last:
+    no later part looks them up, so they are returned as unindexed, to
+    follow index's forms."""
+    ids = np.fromiter(map(index.get, forms, repeat(-1)), np.int64, len(forms))  # one lookup per form
+    new = ids < 0
+    ids[new] = np.arange(len(index), len(index) + np.count_nonzero(new))
+    unindexed = list(compress(forms, new.tolist()))
+    if not last:
+        index.update(zip(unindexed, ids[new].tolist()))
+        unindexed = []
+    return (ids[:, None] * n + np.arange(n)).ravel(), unindexed
 
 
 def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False) -> TaggedCorpus:
@@ -409,57 +394,49 @@ def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False) -> T
     An empty result is not an error.  A leading UTF-8 byte-order mark is
     ignored.  The file is read in pieces, so the whole text is never held.
 
-    A large regular file is coded in parallel: while this process codes the
-    first part, stdlib-only helper interpreters (``python -I -S``) code the
-    later ones, at most one part per usable CPU (see _parts).  Their forms
-    and line codes are merged in file order, so the result is the one a
-    single pass gives.  A part whose helper fails for any reason is coded
-    here instead, so an error is reported as a single pass reports it.
+    A large regular file is cut into parts (see _parts) and coded in
+    parallel: this process codes the first part with _lines.code_part while
+    stdlib-only helper interpreters (``python -I -S``) run it on the later
+    ones.  A part whose helper fails for any reason is coded here instead.
+    The first part's forms are the index that each later part's forms are
+    merged into, in file order, so the result and the first error are the
+    ones a single pass gives.
     """
     path = Path(path)
     n = spec.n_functions
     function_of = {tag: spec.function_index(label) for tag, label in spec.tag_map.items()}
-    # line -> cell, kept across the pieces of a part, as a per-piece memo
-    # would parse each piece's repeated lines again
-    memo, index = _lines.coder(function_of, n, spec.suffix, fold_case)
-    code = memo.__getitem__
-    kept = [np.empty(0, np.int64)]
-    unindexed: list[str] = []  # the last helper's new forms, numbered after index's
-    dropped = done = 0  # done: lines before the piece being coded
+    job = (_lines.BLOCK_BYTES, function_of, n, spec.suffix, fold_case)  # code_part's arguments after end
+    kept = []
+    dropped = done = 0  # done: lines before the part being coded
     try:
         with open(path, "rb") as fh:
-            block_bytes = _lines.BLOCK_BYTES
-            parts = _parts(fh, block_bytes)
-            helpers = _start_helpers(path, parts[1:], block_bytes, function_of, n, spec.suffix, fold_case)
+            parts = _parts(fh)
+            helpers = _start_helpers(path, parts[1:], job)
             try:
-                for (start, end, offset), helper in zip(parts, [None, *helpers]):
-                    merged = helper and _helper_codes(helper, index, n, end - start, helper is helpers[-1])
-                    if merged:
-                        codes, cell_map, unindexed = merged
-                        kept.append(cell_map[codes[codes >= 0]])
-                        dropped += int(np.count_nonzero(codes == _lines.DROPPED))
-                        done += len(codes)
-                        continue
-                    if start:
-                        fh.seek(start)
-                    for lines in _decoded_pieces(fh, path, "corpus", start, end, offset):
-                        try:
-                            codes = np.fromiter(map(code, lines), np.int64, len(lines))
-                        except _lines.BadLine as exc:
-                            line, reason = exc.args
-                            # the first bad line: an earlier copy would have failed first
-                            raise CorpusFormatError(f"{path}:{done + lines.index(line) + 1}: {reason}") from None
-                        kept.append(codes[codes >= 0])
-                        dropped += int(np.count_nonzero(codes == _lines.DROPPED))
-                        done += len(lines)
-                    # the distinct lines can outweigh the columns: free them
-                    # before the merges and the columns take memory (a later
-                    # part coded here parses its lines anew)
-                    memo.clear()
+                for i, ((start, end, offset), helper) in enumerate(zip(parts, [None, *helpers])):
+                    try:
+                        codes, forms = (helper and _helper_result(helper, n, end - start)
+                                        or _lines.code_part(fh, start, end, *job))
+                    except _lines.BadLine as exc:
+                        at, reason = exc.args
+                        raise CorpusFormatError(f"{path}:{done + at + 1}: {reason}") from None
+                    except _lines.BadBytes as exc:
+                        raise _unreadable("corpus", path, exc, offset) from None
+                    codes = np.frombuffer(codes, np.int64)
+                    cells = codes[codes >= 0]
+                    if i:
+                        cell_map, unindexed = _merge_forms(index, forms, n, i == len(parts) - 1)
+                        cells = cell_map[cells]
+                    else:  # the first part numbers its forms as the columns do
+                        index, unindexed = forms, []
+                    kept.append(cells)
+                    dropped += int(np.count_nonzero(codes == _lines.DROPPED))
+                    done += len(codes)
             finally:
                 _stop_helpers(helpers)
     except OSError as exc:
         raise CorpusFormatError(f"cannot read corpus {path}: {exc}") from exc
+    del codes, cells  # the last part's, before the columns take memory
     form_ids = np.concatenate(kept)
     del kept
     functions = form_ids % n
@@ -566,7 +543,8 @@ def _swap_targets(rng: random.Random, n: int) -> np.ndarray:
 
 def shuffled_order(n: int, seed: int) -> np.ndarray:
     """The permutation random.Random(seed).shuffle(list(range(n))) leaves,
-    as a read-only int64 array; shuffle_tokens applies it.  n must be below
+    as a read-only int64 array: position i of a shuffled corpus holds token
+    shuffled_order(n, seed)[i].  n must be below
     2**31 (ValueError otherwise): the replay indexes positions as int32.
 
     That stdlib shuffle defines the permutation.  It is computed by
@@ -609,10 +587,3 @@ def shuffled_order(n: int, seed: int) -> np.ndarray:
         permutation[0] = chain[0]
     permutation.flags.writeable = False
     return permutation
-
-
-def shuffle_tokens(corpus: TaggedCorpus, seed: int) -> TaggedCorpus:
-    """Return a seeded permutation of the corpus (same token multiset)."""
-    tokens = corpus.tokens
-    order = shuffled_order(len(tokens), seed)
-    return TaggedCorpus(corpus.spec, (tokens[i] for i in order), corpus.dropped)

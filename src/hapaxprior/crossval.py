@@ -101,10 +101,10 @@ def _fold_bounds(n: int, k: int) -> list[int]:
 def make_folds(corpus: TaggedCorpus, k: int, seed: int) -> FoldPlan:
     """Partition token positions into k near-equal folds, seeded.
 
-    The plan equals shuffling with shuffle_tokens(corpus, seed) and slicing
-    the result contiguously; its assignments are a read-only int64 array.
-    The shuffle is random.Random(seed).shuffle's, computed in numpy by
-    shuffled_order.  run_crossval scores the same folds.
+    Fold f holds the token positions in the f-th contiguous slice of
+    shuffled_order(n, seed), random.Random(seed).shuffle's permutation
+    computed in numpy; the assignments are a read-only int64 array.
+    run_crossval scores the same folds.
     """
     n = len(corpus)
     bounds = _fold_bounds(n, k)

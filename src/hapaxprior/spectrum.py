@@ -32,10 +32,6 @@ class TypeCount:
     def total(self) -> int:
         return sum(self.per_function)
 
-    @property
-    def is_hapax(self) -> bool:
-        return self.total == 1
-
 
 @dataclass(frozen=True, init=False, eq=False)
 class SpectrumTable:
@@ -128,30 +124,25 @@ def _valid_counts(spec: ClassSpec, forms: tuple[str, ...], counts) -> np.ndarray
     return counts
 
 
-def _token_cells(corpus: TaggedCorpus, select: np.ndarray | slice = slice(None)) -> np.ndarray:
-    """The cell function * len(forms) + form_id of each token at `select`:
-    its place in a column-major form-by-function table, where each
-    function's column is contiguous, which keeps row and column sums fast."""
-    return corpus.functions[select] * len(corpus.forms) + corpus.form_ids[select]
+def _token_cells(corpus: TaggedCorpus) -> np.ndarray:
+    """The cell function * len(forms) + form_id of each token: its place in
+    a column-major form-by-function table, where each function's column is
+    contiguous, which keeps row and column sums fast."""
+    return corpus.functions * len(corpus.forms) + corpus.form_ids
 
 
 def _cell_table(corpus: TaggedCorpus, cells: np.ndarray) -> np.ndarray:
-    """count_table of the tokens whose _token_cells are `cells`."""
+    """Tokens per form (rows, in corpus.forms order) and function (columns)
+    among the tokens whose _token_cells are `cells`, read-only."""
     n, n_forms = corpus.spec.n_functions, len(corpus.forms)
     counts = np.bincount(cells, minlength=n * n_forms).reshape(n, n_forms).T
     counts.flags.writeable = False
     return counts
 
 
-def count_table(corpus: TaggedCorpus, select: np.ndarray | slice = slice(None)) -> np.ndarray:
-    """Tokens per form (rows, in corpus.forms order) and function (columns)
-    among the tokens at `select` (positions or a mask; default all), read-only."""
-    return _cell_table(corpus, _token_cells(corpus, select))
-
-
 def build_spectrum(corpus: TaggedCorpus) -> SpectrumTable:
     """Aggregate a corpus into per-type counts and per-function totals."""
-    return SpectrumTable.from_counts(corpus.spec, corpus.forms, count_table(corpus))
+    return SpectrumTable.from_counts(corpus.spec, corpus.forms, _cell_table(corpus, _token_cells(corpus)))
 
 
 def hapaxes(table: SpectrumTable) -> list[TypeCount]:

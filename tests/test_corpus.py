@@ -24,7 +24,6 @@ from hapaxprior import (
     load_corpus,
     save_class_spec,
     save_corpus,
-    shuffle_tokens,
 )
 from hapaxprior import _lines, corpus as corpus_module
 from hapaxprior.corpus import shuffled_order
@@ -353,7 +352,7 @@ def split(monkeypatch):
     of helper results merged."""
     monkeypatch.setattr(corpus_module, "_PART_BYTES", 1)
     monkeypatch.setattr(corpus_module, "_usable_cpus", lambda: 3)
-    parts, helper_codes = corpus_module._parts, corpus_module._helper_codes
+    parts, helper_result = corpus_module._parts, corpus_module._helper_result
 
     class Recorded(subprocess.Popen):
         def __init__(self, *args, **kwargs):
@@ -365,15 +364,15 @@ def split(monkeypatch):
         record.parts.append(len(result))
         return result
 
-    def counted_merge(*args):
-        result = helper_codes(*args)
+    def counted_result(*args):
+        result = helper_result(*args)
         record.merged += result is not None
         return result
 
     record = SimpleNamespace(parts=[], started=[], merged=0, Popen=Recorded)
     monkeypatch.setattr(subprocess, "Popen", Recorded)
     monkeypatch.setattr(corpus_module, "_parts", counted_parts)
-    monkeypatch.setattr(corpus_module, "_helper_codes", counted_merge)
+    monkeypatch.setattr(corpus_module, "_helper_result", counted_result)
     return record
 
 
@@ -402,12 +401,24 @@ def repeating_helper(repeat: str) -> str:
     )
 
 
+def renaming_helper(renames: dict[bytes, bytes]) -> str:
+    """A helper that runs the real one and renames the forms of its result
+    that `renames` holds, so that a form can repeat while every form is used."""
+    return (
+        f"import struct, subprocess, sys; header = struct.Struct({_lines.HEADER.format!r});"
+        " out = subprocess.run(sys.argv[1:], stdout=subprocess.PIPE).stdout;"
+        " n_lines, n_forms, n_joined = header.unpack_from(out); head = out[header.size:len(out) - n_joined];"
+        f" joined = b'\\n'.join({renames!r}.get(form, form) for form in out[len(out) - n_joined:].split(b'\\n'));"
+        " sys.stdout.buffer.write(header.pack(n_lines, n_forms, len(joined)) + head + joined)"
+    )
+
+
 class TestSplitLoad:
     LINE = "lopen\tV(inf)\n"  # 13 bytes, as every line of the hand-made files
 
     def part_starts(self, path):
         with open(path, "rb") as fh:
-            return [start for start, _, _ in corpus_module._parts(fh, _lines.BLOCK_BYTES)]
+            return [start for start, _, _ in corpus_module._parts(fh)]
 
     def three_part_file(self, path, monkeypatch, lines):
         """Write lines in 3 parts, cut at line breaks in 1-byte blocks;
@@ -423,6 +434,45 @@ class TestSplitLoad:
         assert 0 < errors < 3 * 40
         assert {1, 2, 3} <= set(split.parts)
         assert split.merged > 0
+
+    def test_parts_follow_the_cut_rule(self, tmp_path, en_spec, monkeypatch, split):
+        rng = random.Random(11)
+        path = tmp_path / "corpus.tsv"
+        for _ in range(60):
+            cpus, part_bytes, block_bytes = rng.randint(1, 4), rng.choice([1, 20, 60]), rng.choice([1, 5, 64])
+            monkeypatch.setattr(corpus_module, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(corpus_module, "_PART_BYTES", part_bytes)
+            monkeypatch.setattr(_lines, "BLOCK_BYTES", block_bytes)
+            # short lines, lines longer than a block, breaks other than b"\n",
+            # and often a long last line after the last b"\n", past some shares
+            lines = [rng.choice(["lopen\tV(inf)", "werken\tV(pl)", "", "# x"]) if rng.random() < 0.8
+                     else "l" * rng.randint(1, 3 * block_bytes) + "en\tV(pl)" for _ in range(rng.randint(0, 25))]
+            text = "".join(line + rng.choice(["\n", "\n", "\r\n", "\r", "\x85"]) for line in lines)
+            if rng.random() < 0.5:
+                text += "w" * rng.randint(0, len(text)) + "en\tV(inf)"
+            data = (codecs.BOM_UTF8 if rng.random() < 0.3 else b"") + text.encode("utf-8")
+            path.write_bytes(data)
+            with open(path, "rb") as fh:
+                parts = corpus_module._parts(fh)
+                assert fh.tell() == 0
+            size, mark = len(data), 3 * data.startswith(codecs.BOM_UTF8)
+            n_parts = min(cpus, size // part_bytes)
+            starts = [start for start, _, _ in parts]
+            if n_parts < 2:
+                assert parts == [(0, None, 0)]
+            else:
+                assert [end for _, end, _ in parts] == starts[1:] + [size]
+                assert [offset for _, _, offset in parts] == [start and start - mark for start in starts]
+            # strictly increasing; each inner bound right after the first b"\n"
+            # at or after its share minus one byte
+            assert starts == sorted(set(starts)) and starts[0] == 0 and len(parts) <= max(1, n_parts)
+            shares = [size * i // n_parts for i in range(1, n_parts)]
+            cuts = {data.find(b"\n", share - 1) + 1 for share in shares}
+            assert starts[1:] == sorted(cut for cut in cuts if 0 < cut < size), (shares, data)
+            assert all(data[start - 1:start] == b"\n" for start in starts[1:])
+            corpus = load_corpus(path, en_spec)
+            assert corpus == serial_load(monkeypatch, path, en_spec), data
+        assert max(split.parts) == 4 and split.merged > 30
 
     def test_helpers_code_the_later_parts(self, tmp_path, en_spec, monkeypatch, split):
         monkeypatch.setattr(_lines, "BLOCK_BYTES", 7)
@@ -449,6 +499,28 @@ class TestSplitLoad:
         assert str(exc_info.value) == f"{path}:{starts[bad_parts[0]] + 1}: expected 'form<TAB>tag', got 3 fields"
         assert str(exc_info.value) == serial_error(monkeypatch, path, en_spec)
         assert len(split.started) == 2
+
+    @pytest.mark.parametrize("first", ["line", "byte"])
+    def test_the_first_bad_line_or_byte_of_the_file_wins(self, tmp_path, en_spec, monkeypatch, split, first):
+        path = tmp_path / "corpus.tsv"
+        lines = [self.LINE.encode()] * 12
+        one_piece = _lines.BLOCK_BYTES
+        starts = self.three_part_file(path, monkeypatch, [self.LINE] * 12)
+        bad_line, bad_byte = (starts[1], starts[1] + 2) if first == "line" else (starts[1] + 2, starts[1])
+        lines[bad_line] = b"lope\tV(inf)\t\n"
+        lines[bad_byte] = b"lop\xffn\tV(inf)\n"
+        path.write_bytes(b"".join(lines))
+        want = (f"{path}:{bad_line + 1}: expected 'form<TAB>tag', got 3 fields" if first == "line" else
+                f"cannot read corpus {path}: 'utf-8' codec can't decode byte 0xff in position "
+                f"{bad_byte * len(self.LINE) + 3}: invalid start byte")
+        # in one piece, in pieces cut between the two, and in pieces cut inside each
+        for block_bytes in (one_piece, 2 * len(self.LINE), 1):
+            monkeypatch.setattr(_lines, "BLOCK_BYTES", block_bytes)
+            with pytest.raises(CorpusFormatError) as exc_info:
+                load_corpus(path, en_spec)
+            assert str(exc_info.value) == want
+            assert serial_error(monkeypatch, path, en_spec) == want
+        assert len(split.started) == 2 * 3
 
     def test_a_decode_error_past_a_cut_counts_bytes_after_the_mark(self, tmp_path, en_spec, monkeypatch, split):
         path = tmp_path / "corpus.tsv"
@@ -483,6 +555,11 @@ class TestSplitLoad:
         # the real helper's result with a form of the first part repeated, or a new form twice
         repeating_helper("out[len(out) - n_joined:].split(b'\\n')[0]"),
         repeating_helper("b'nieuwen\\nnieuwen'"),
+        # a new form that no line uses
+        repeating_helper("b'nieuwen'"),
+        # every form used, one of them twice: a form of the first part, or a new one
+        renaming_helper({b"werken": b"lopen"}),
+        renaming_helper({b"werken": b"nieuwen", b"wetten": b"nieuwen"}),
     ])
     def test_a_failed_helper_is_replaced_by_coding_its_part(self, tmp_path, en_spec, monkeypatch, split, helper):
         path = tmp_path / "corpus.tsv"
@@ -542,19 +619,6 @@ class TestSplitLoad:
 
 
 class TestShuffle:
-    def test_same_seed_same_order(self, ab_spec):
-        corpus = corpus_of(ab_spec, [(f"w{i}", i % 2) for i in range(30)])
-        assert shuffle_tokens(corpus, 5).tokens == shuffle_tokens(corpus, 5).tokens
-
-    def test_different_seed_usually_differs(self, ab_spec):
-        corpus = corpus_of(ab_spec, [(f"w{i}", i % 2) for i in range(30)])
-        assert shuffle_tokens(corpus, 1).tokens != shuffle_tokens(corpus, 2).tokens
-
-    def test_matches_shuffled_order_helper(self, ab_spec):
-        corpus = corpus_of(ab_spec, [(f"w{i}", 0) for i in range(12)])
-        order = shuffled_order(12, seed=9)
-        assert shuffle_tokens(corpus, 9).tokens == tuple(corpus.tokens[i] for i in order)
-
     @given(n=st.integers(0, 200), seed=st.integers(0, 2**64 - 1))
     def test_shuffled_order_is_a_permutation(self, n, seed):
         assert sorted(shuffled_order(n, seed)) == list(range(n))
@@ -582,12 +646,3 @@ class TestShuffle:
         # refused before anything is allocated; never replay near this size
         with pytest.raises(ValueError, match="2147483648"):
             shuffled_order(2**31, 0)
-
-    def test_preserves_multiset(self, ab_spec):
-        rng = random.Random(3)
-        corpus = corpus_of(ab_spec, [(f"w{rng.randint(1, 5)}", rng.randrange(2)) for _ in range(40)])
-        shuffled = shuffle_tokens(corpus, 7)
-        assert sorted((t.form, t.function) for t in shuffled.tokens) == sorted(
-            (t.form, t.function) for t in corpus.tokens
-        )
-        assert shuffled.spec is corpus.spec

@@ -13,7 +13,6 @@ from hapaxprior import (
     paired_t,
     run_crossval,
     run_fold,
-    shuffle_tokens,
 )
 from hapaxprior import crossval as crossval_module
 from hapaxprior.corpus import shuffled_order
@@ -79,17 +78,13 @@ class TestMakeFolds:
         corpus = corpus_of(ab_spec, [(f"w{i}", i % 2) for i in range(29)])
         seed, k = 13, 4
         plan = make_folds(corpus, k, seed)
-        shuffled = shuffle_tokens(corpus, seed)
-        order = shuffled_order(len(corpus.tokens), seed)
+        order = shuffled_order(len(corpus), seed)
         start = 0
         for fold, size in enumerate(plan.fold_sizes(), start=1):
             positions = {i for i, a in enumerate(plan.assignments) if a == fold}
             assert positions == set(order[start : start + size])
-            key = lambda t: (t.form, t.function)
-            assert sorted(shuffled.tokens[start : start + size], key=key) == sorted(
-                (corpus.tokens[i] for i in sorted(positions)), key=key
-            )
             start += size
+        assert start == len(corpus)
 
     def test_rejects_bad_k(self, ab_spec):
         corpus = corpus_of(ab_spec, [("w", 0), ("x", 1), ("y", 0)])

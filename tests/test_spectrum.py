@@ -20,7 +20,6 @@ from hapaxprior import (
     hapaxes,
     running_median,
 )
-from hapaxprior.spectrum import count_table
 
 import oracles
 from conftest import corpus_of, random_pairs
@@ -39,8 +38,8 @@ TOY = [
 class TestTypeCount:
     def test_total_and_hapax_flag(self):
         tc = TypeCount("x", (1, 0))
-        assert tc.total == 1 and tc.is_hapax
-        assert not TypeCount("y", (2, 1)).is_hapax
+        assert tc.total == 1
+        assert TypeCount("y", (2, 1)).total == 3
 
     def test_rejects_zero_and_negative(self):
         with pytest.raises(ValueError):
@@ -80,32 +79,22 @@ class TestBuildSpectrum:
                     tc.per_function[f] for tc in table.types.values()
                 )
                 assert table.hapax_totals[f] == sum(
-                    tc.per_function[f] for tc in table.types.values() if tc.is_hapax
+                    tc.per_function[f] for tc in table.types.values() if tc.total == 1
                 )
             assert table.n_tokens == len(corpus)
 
-    def test_table_rejects_totals_of_wrong_arity(self, ab_spec):
-        with pytest.raises(ValueError):
-            SpectrumTable(spec=ab_spec, types={}, token_totals=(1,), hapax_totals=(0, 0))
-
-
-class TestCountTable:
-    def test_counts_selected_tokens(self, ab_spec):
+    def test_counts_match_the_oracle(self, ab_spec):
         rng = random.Random(5)
         for _ in range(25):
             pairs = random_pairs(rng)
             corpus = corpus_of(ab_spec, pairs)
-            positions = sorted(rng.sample(range(len(pairs)), rng.randint(0, len(pairs))))
-            mask = np.zeros(len(pairs), dtype=bool)
-            mask[positions] = True
-            want = np.zeros((len(corpus.forms), 2), dtype=np.int64)
-            for i in positions:
-                want[corpus.forms.index(pairs[i][0]), pairs[i][1]] += 1
-            assert np.array_equal(count_table(corpus, np.array(positions, dtype=np.int64)), want)
-            assert np.array_equal(count_table(corpus, mask), want)
-        full = count_table(corpus)
-        assert full.dtype == np.int64 and not full.flags.writeable
-        assert [list(row) for row in full] == [oracles.count_form(pairs, f, 2) for f in corpus.forms]
+            counts = build_spectrum(corpus).counts
+            assert counts.dtype == np.int64 and not counts.flags.writeable
+            assert [list(row) for row in counts] == [oracles.count_form(pairs, f, 2) for f in corpus.forms]
+
+    def test_table_rejects_totals_of_wrong_arity(self, ab_spec):
+        with pytest.raises(ValueError):
+            SpectrumTable(spec=ab_spec, types={}, token_totals=(1,), hapax_totals=(0, 0))
 
 
 class TestFromCounts:
