@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 from typing import IO, Callable, Iterator, Sequence
 
+from ._cache import replace_file
 from .corpus import (
     ClassSpec,
     CorpusFormatError,
@@ -46,14 +48,14 @@ class _Parser(argparse.ArgumentParser):
 @contextmanager
 def _out_stream(path: str) -> Iterator[IO[str]]:
     """Collect a subcommand's output; write it only once the body succeeded,
-    so a failed run never creates or truncates --out."""
+    and then whole or not at all (see _cache.replace_file), so a failed run
+    never creates, truncates or half-writes --out."""
     buffer = io.StringIO()
     yield buffer
     if path == "-":
         sys.stdout.write(buffer.getvalue())
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buffer.getvalue())
+        replace_file(path, [buffer.getvalue().encode("utf-8")])
 
 
 def _header(args: argparse.Namespace, pairs: Sequence[tuple[str, object]] = ()) -> str:
@@ -79,9 +81,25 @@ def _parse_ratio(spec: ClassSpec, ratio: str | None) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
+def _cache_dir() -> str | None:
+    """Where coded corpora are cached: $HAPAXPRIOR_CACHE_DIR when it is set
+    (empty: nowhere), else $XDG_CACHE_HOME/hapaxprior, else
+    ~/.cache/hapaxprior; nowhere when there is no home directory."""
+    directory = os.environ.get("HAPAXPRIOR_CACHE_DIR")
+    if directory is not None:
+        return directory or None
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, or relative, which the XDG spec says to ignore
+        home = os.path.expanduser("~")
+        if not os.path.isabs(home):
+            return None
+        base = os.path.join(home, ".cache")
+    return os.path.join(base, "hapaxprior")
+
+
 def _load(args: argparse.Namespace) -> TaggedCorpus:
     spec = load_class_spec(args.class_spec)
-    return load_corpus(args.corpus, spec, fold_case=args.fold_case)
+    return load_corpus(args.corpus, spec, fold_case=args.fold_case, cache_dir=_cache_dir())
 
 
 # ---------------------------------------------------------------- spectrum
@@ -264,7 +282,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- main
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hapaxprior", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="hapaxprior", description=__doc__.splitlines()[0],
+                     epilog="Corpus cache: $HAPAXPRIOR_CACHE_DIR (default ~/.cache/hapaxprior; empty: off)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name: str, handler, help_: str, corpus: bool = True) -> argparse.ArgumentParser:

@@ -23,7 +23,7 @@ from typing import BinaryIO, Collection, Iterable, Sequence
 
 import numpy as np
 
-from . import _lines
+from . import _cache, _lines
 
 
 class CorpusFormatError(ValueError):
@@ -385,7 +385,44 @@ def _merge_forms(index: dict[str, int], forms: Collection[str], n: int, last: bo
     return (ids[:, None] * n + np.arange(n)).ravel(), unindexed
 
 
-def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False) -> TaggedCorpus:
+def _code(path: Path, fh: BinaryIO, job: tuple) -> tuple[np.ndarray, tuple[str, ...], int]:
+    """(cells, forms, dropped) of the corpus file fh, opened at path at its
+    start, coded with job, the arguments of _lines.code_part after end:
+    the form_id * n + function of each kept line as a new int64 array, the
+    forms in first-occurrence order and the number of dropped lines."""
+    n = job[2]  # code_part's
+    kept = []
+    dropped = done = 0  # done: lines before the part being coded
+    parts = _parts(fh)
+    helpers = _start_helpers(path, parts[1:], job)
+    try:
+        for i, ((start, end, offset), helper) in enumerate(zip(parts, [None, *helpers])):
+            try:
+                codes, forms = (helper and _helper_result(helper, n, end - start)
+                                or _lines.code_part(fh, start, end, *job))
+            except _lines.BadLine as exc:
+                at, reason = exc.args
+                raise CorpusFormatError(f"{path}:{done + at + 1}: {reason}") from None
+            except _lines.BadBytes as exc:
+                raise _unreadable("corpus", path, exc, offset) from None
+            codes = np.frombuffer(codes, np.int64)
+            cells = codes[codes >= 0]
+            if i:
+                cell_map, unindexed = _merge_forms(index, forms, n, i == len(parts) - 1)
+                cells = cell_map[cells]
+            else:  # the first part numbers its forms as the columns do
+                index, unindexed = forms, []
+            kept.append(cells)
+            dropped += int(np.count_nonzero(codes == _lines.DROPPED))
+            done += len(codes)
+    finally:
+        _stop_helpers(helpers)
+    del codes, cells  # the last part's, before the columns take memory
+    return np.concatenate(kept), tuple(chain(index, unindexed)), dropped
+
+
+def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False, *,
+                cache_dir: str | Path | None = None) -> TaggedCorpus:
     """Load a ``form<TAB>tag`` file and project it onto `spec`.
 
     Tokens are kept iff the form ends with spec.suffix and the tag is mapped;
@@ -401,48 +438,35 @@ def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False) -> T
     The first part's forms are the index that each later part's forms are
     merged into, in file order, so the result and the first error are the
     ones a single pass gives.
+
+    With a cache_dir, the coded result of a regular file is cached there,
+    keyed by the sha256 of the file's bytes, the coding options and the
+    coder's source (see _cache.Slot), and a later load of the same bytes
+    reads it instead of coding them.  A missing entry, a bad one and one
+    whose cells do not number its forms are misses, which write it anew;
+    an entry that cannot be written is skipped.  The result is the same.
     """
     path = Path(path)
     n = spec.n_functions
     function_of = {tag: spec.function_index(label) for tag, label in spec.tag_map.items()}
     job = (_lines.BLOCK_BYTES, function_of, n, spec.suffix, fold_case)  # code_part's arguments after end
-    kept = []
-    dropped = done = 0  # done: lines before the part being coded
     try:
         with open(path, "rb") as fh:
-            parts = _parts(fh)
-            helpers = _start_helpers(path, parts[1:], job)
-            try:
-                for i, ((start, end, offset), helper) in enumerate(zip(parts, [None, *helpers])):
-                    try:
-                        codes, forms = (helper and _helper_result(helper, n, end - start)
-                                        or _lines.code_part(fh, start, end, *job))
-                    except _lines.BadLine as exc:
-                        at, reason = exc.args
-                        raise CorpusFormatError(f"{path}:{done + at + 1}: {reason}") from None
-                    except _lines.BadBytes as exc:
-                        raise _unreadable("corpus", path, exc, offset) from None
-                    codes = np.frombuffer(codes, np.int64)
-                    cells = codes[codes >= 0]
-                    if i:
-                        cell_map, unindexed = _merge_forms(index, forms, n, i == len(parts) - 1)
-                        cells = cell_map[cells]
-                    else:  # the first part numbers its forms as the columns do
-                        index, unindexed = forms, []
-                    kept.append(cells)
-                    dropped += int(np.count_nonzero(codes == _lines.DROPPED))
-                    done += len(codes)
-            finally:
-                _stop_helpers(helpers)
+            slot = cache_dir is not None and _cache.Slot.of(fh, os.fspath(path), cache_dir, job[1:])
+            coded = slot and slot.read()
+            if coded and not _numbers_in_order(coded[0] // n, len(coded[1])):
+                coded = None  # an entry that the coder cannot have written
+            if not coded:
+                coded = _code(path, fh, job)
+                if slot:
+                    slot.write(fh, *coded)
     except OSError as exc:
         raise CorpusFormatError(f"cannot read corpus {path}: {exc}") from exc
-    del codes, cells  # the last part's, before the columns take memory
-    form_ids = np.concatenate(kept)
-    del kept
+    form_ids, forms, dropped = coded
     functions = form_ids % n
     form_ids //= n  # in place: at 10M tokens each column takes 80 MB
     # the columns hold by construction what from_columns would check
-    return TaggedCorpus._of_valid_columns(spec, tuple(chain(index, unindexed)), form_ids, functions, dropped)
+    return TaggedCorpus._of_valid_columns(spec, forms, form_ids, functions, dropped)
 
 
 def save_corpus(corpus: TaggedCorpus, path: str | Path, header: str | None = None) -> None:

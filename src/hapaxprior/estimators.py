@@ -7,6 +7,7 @@ since the point of the overall-vs-hapax comparison is the unadjusted counts.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .spectrum import SpectrumTable
@@ -62,45 +63,38 @@ class ExpectedCounts:
     rounded: tuple[int, ...]
 
 
+def _relative(counts: Sequence[int], source: str, empty: Callable[[], Exception]) -> PriorEstimate:
+    """The relative frequencies of counts, as an estimate of source; raises
+    empty() when they sum to 0."""
+    support = sum(counts)
+    if support == 0:
+        raise empty()
+    return PriorEstimate(tuple(c / support for c in counts), source, support)
+
+
 def overall_mle(table: SpectrumTable) -> PriorEstimate:
     """Relative function frequencies over all tokens of the class."""
-    n = table.n_tokens
-    if n == 0:
-        raise EstimationError("cannot estimate a prior from an empty table")
-    return PriorEstimate(
-        probabilities=tuple(c / n for c in table.token_totals),
-        source="overall",
-        support=n,
+    return _relative(table.token_totals, "overall",
+                     lambda: EstimationError("cannot estimate a prior from an empty table"))
+
+
+def _no_hapaxes(table: SpectrumTable) -> NoHapaxesError:
+    return NoHapaxesError(
+        "hapax-based estimator undefined: no form occurs exactly once among"
+        f" {table.n_tokens} tokens of {(table.type_totals > 0).sum()} types"
     )
 
 
 def hapax_mle(table: SpectrumTable) -> PriorEstimate:
     """Relative function frequencies among the hapax legomena only."""
-    n1 = table.n_hapax_tokens
-    if n1 == 0:
-        raise NoHapaxesError(
-            "hapax-based estimator undefined: no form occurs exactly once among"
-            f" {table.n_tokens} tokens of {(table.type_totals > 0).sum()} types"
-        )
-    return PriorEstimate(
-        probabilities=tuple(c / n1 for c in table.hapax_totals),
-        source="hapax",
-        support=n1,
-    )
+    return _relative(table.hapax_totals, "hapax", lambda: _no_hapaxes(table))
 
 
 def form_mle(table: SpectrumTable, form: str) -> PriorEstimate:
     """Relative function frequencies of one seen form."""
     row = table.rows.get(form)
-    per_function = () if row is None else table.counts[row].tolist()
-    total = sum(per_function)
-    if total == 0:
-        raise UnseenFormError(f"form {form!r} not in table")
-    return PriorEstimate(
-        probabilities=tuple(c / total for c in per_function),
-        source="form",
-        support=total,
-    )
+    return _relative(() if row is None else table.counts[row].tolist(), "form",
+                     lambda: UnseenFormError(f"form {form!r} not in table"))
 
 
 def backoff_prior(table: SpectrumTable, form: str, threshold: int = 1) -> PriorEstimate:
@@ -113,10 +107,10 @@ def backoff_prior(table: SpectrumTable, form: str, threshold: int = 1) -> PriorE
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     row = table.rows.get(form)
     if row is not None and table.type_totals[row] >= threshold:
-        est, source = form_mle(table, form), "backoff-form"
+        counts, source = table.counts[row].tolist(), "backoff-form"
     else:
-        est, source = hapax_mle(table), "backoff-hapax"
-    return PriorEstimate(est.probabilities, source, est.support)
+        counts, source = table.hapax_totals, "backoff-hapax"
+    return _relative(counts, source, lambda: _no_hapaxes(table))  # a counted form's counts never sum to 0
 
 
 def expected_unseen_counts(estimate: PriorEstimate, n_unseen_tokens: int) -> ExpectedCounts:

@@ -1,10 +1,21 @@
-"""Shared fixtures: a toy two-function class and corpus builders."""
+"""Shared fixtures: a toy two-function class, corpus builders, and a cache
+directory of the session's own for every CLI run."""
 
 import random
 
 import pytest
 
 from hapaxprior import ClassSpec, TaggedCorpus, TokenRecord
+
+
+@pytest.fixture(scope="session", autouse=True)
+def cache_dir(tmp_path_factory):
+    """The corpus cache of every CLI run in the session, child processes
+    included: a temporary directory, never the user's."""
+    with pytest.MonkeyPatch.context() as patch:
+        directory = tmp_path_factory.mktemp("cache")
+        patch.setenv("HAPAXPRIOR_CACHE_DIR", str(directory))
+        yield directory
 
 
 @pytest.fixture

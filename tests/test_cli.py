@@ -1,16 +1,20 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import errno
 import os
 import random
 import re
 import shlex
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import hapaxprior
+from hapaxprior import cli
 from hapaxprior.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -479,6 +483,193 @@ class TestFailedRuns:
             existing.write_bytes(b"earlier corpus\n")
             assert run(capsys, *argv, "--out", str(existing))[0] == 2
             assert existing.read_bytes() == b"earlier corpus\n", flag
+
+
+class TestOutFile:
+    def spectrum(self, tmp_path, capsys):
+        """argv of a spectrum run without --out, and its output."""
+        argv = ["spectrum", "--corpus", write_corpus(tmp_path, crossval_pairs()), "--class-spec", write_spec(tmp_path)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        return argv, out
+
+    def run_child(self, argv, limit=None, **options):
+        """Run main(argv) in a child process, whose files may not grow past
+        limit bytes if one is given."""
+        script = ("import resource, sys\nfrom hapaxprior.cli import main\n"
+                  f"if {limit}: resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(hapaxprior.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        options = {"capture_output": True, **options}
+        return subprocess.run([sys.executable, "-c", script, *argv], env=env, text=True, timeout=120, **options)
+
+    def test_a_failed_write_leaves_the_old_out_file_and_no_temporary_file(self, tmp_path, capsys):
+        argv, out = self.spectrum(tmp_path, capsys)
+        directory = tmp_path / "out"
+        directory.mkdir()
+        existing = directory / "existing.csv"
+        existing.write_bytes(b"earlier output\n")
+        assert 100 < len(out.encode())
+        for target in (existing, directory / "fresh.csv"):
+            done = self.run_child([*argv, "--out", str(target)], 100)
+            assert (done.returncode, done.stdout) == (2, "")
+            assert done.stderr == f"hapaxprior: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+        assert list(directory.iterdir()) == [existing]
+        assert existing.read_bytes() == b"earlier output\n"
+        # the limit is what failed: above the output, the same run writes it
+        assert self.run_child([*argv, "--out", str(existing)], 1 << 20).returncode == 0
+        assert existing.read_text() == out and list(directory.iterdir()) == [existing]
+
+    def test_the_out_file_gets_the_mode_a_plain_open_gives(self, tmp_path, capsys):
+        argv, out = self.spectrum(tmp_path, capsys)
+        existing, fresh = tmp_path / "existing.csv", tmp_path / "fresh.csv"
+        existing.write_bytes(b"earlier output\n")
+        existing.chmod(0o604)
+        umask = os.umask(0o027)
+        try:
+            assert main([*argv, "--out", str(existing)]) == main([*argv, "--out", str(fresh)]) == 0
+        finally:
+            os.umask(umask)
+        assert existing.read_text() == fresh.read_text() == out
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o604
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o640
+
+    def test_an_out_file_that_may_not_be_written_is_refused(self, tmp_path, capsys, monkeypatch):
+        argv, _ = self.spectrum(tmp_path, capsys)
+        existing = tmp_path / "existing.csv"
+        existing.write_bytes(b"earlier output\n")
+        monkeypatch.setattr(os, "access", lambda path, mode: False)  # as for a read-only file, not as root
+        assert run(capsys, *argv, "--out", str(existing)) == (
+            2, "", f"hapaxprior: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: '{existing}'\n")
+        assert existing.read_bytes() == b"earlier output\n"
+
+    def test_a_symlink_is_followed(self, tmp_path, capsys):
+        argv, out = self.spectrum(tmp_path, capsys)
+        directory = tmp_path / "out"
+        directory.mkdir()
+        target, link, dangling = directory / "target.csv", directory / "link.csv", directory / "dangling.csv"
+        target.write_bytes(b"earlier output\n")
+        link.symlink_to(target)
+        dangling.symlink_to(directory / "absent.csv")
+        assert main([*argv, "--out", str(link)]) == main([*argv, "--out", str(dangling)]) == 0
+        assert link.is_symlink() and dangling.is_symlink()
+        assert target.read_text() == (directory / "absent.csv").read_text() == out
+        assert sorted(p.name for p in directory.iterdir()) == ["absent.csv", "dangling.csv", "link.csv", "target.csv"]
+        # links in a loop are refused, as open refuses them
+        loop = directory / "loop.csv"
+        loop.symlink_to(loop.name)
+        assert run(capsys, *argv, "--out", str(loop)) == (
+            2, "", f"hapaxprior: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: '{loop}'\n")
+        assert loop.is_symlink() and len(list(directory.iterdir())) == 5
+
+    def test_a_fifo_is_written_directly(self, tmp_path, capsys):
+        argv, out = self.spectrum(tmp_path, capsys)
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main([*argv, "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive() and got == [out.encode()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+    def test_an_open_file_named_through_proc_is_written_not_replaced(self, tmp_path, capsys):
+        argv, out = self.spectrum(tmp_path, capsys)
+        # /dev/fd/N on a pipe
+        read_end, write_end = os.pipe()
+        try:
+            done = self.run_child([*argv, "--out", f"/dev/fd/{write_end}"], pass_fds=[write_end])
+            os.close(write_end)
+            with open(read_end, "rb", closefd=False) as fh:
+                got = fh.read()
+        finally:
+            os.close(read_end)
+        assert (done.returncode, done.stderr, got) == (0, "", out.encode())
+        # /dev/stdout on a pipe, directly and through a symlink
+        link = tmp_path / "stdout"
+        link.symlink_to("/dev/stdout")
+        for target in ("/dev/stdout", str(link)):
+            done = self.run_child([*argv, "--out", target])
+            assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
+        # /dev/stdout on a file that the caller redirected it to: the same file, not one renamed over it
+        redirected = tmp_path / "redirected.csv"
+        with open(redirected, "wb") as fh:
+            done = self.run_child([*argv, "--out", "/dev/stdout"], capture_output=False, stdout=fh,
+                                  stderr=subprocess.PIPE)
+            assert os.fstat(fh.fileno()).st_ino == redirected.stat().st_ino
+        assert (done.returncode, done.stderr, redirected.read_text()) == (0, "", out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["class.spec", "corpus.tsv", "redirected.csv", "stdout"]
+
+    def test_a_file_that_a_rename_would_change_is_written_in_place(self, tmp_path, capsys, monkeypatch):
+        argv, out = self.spectrum(tmp_path, capsys)
+        directory = tmp_path / "out"
+        directory.mkdir()
+        linked, other = directory / "linked.csv", directory / "other.csv"
+        linked.write_bytes(b"earlier output\n")
+        os.link(linked, other)
+        inode = linked.stat().st_ino
+        assert main([*argv, "--out", str(linked)]) == 0
+        assert linked.stat().st_ino == other.stat().st_ino == inode and other.read_text() == out
+        other.unlink()
+        if os.geteuid() == 0:  # only root can give a file away
+            os.chown(linked, 65534, 65534)
+            linked.write_bytes(b"earlier output\n")
+            assert main([*argv, "--out", str(linked)]) == 0
+            info = linked.stat()
+            assert (info.st_ino, info.st_uid, info.st_gid, linked.read_text()) == (inode, 65534, 65534, out)
+        # a directory that this process may not create files in (as for anyone but root)
+        open_file = os.open
+
+        def closed_directory(path, *args):
+            if os.path.basename(path).startswith("."):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return open_file(path, *args)
+
+        kept, fresh = directory / "kept.csv", directory / "fresh.csv"
+        kept.write_bytes(b"earlier output\n")
+        inode = kept.stat().st_ino
+        monkeypatch.setattr(os, "open", closed_directory)
+        assert main([*argv, "--out", str(kept)]) == 0
+        assert kept.stat().st_ino == inode and kept.read_text() == out
+        assert run(capsys, *argv, "--out", str(fresh)) == (
+            2, "", f"hapaxprior: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: '{fresh}'\n")
+        assert sorted(p.name for p in directory.iterdir()) == ["kept.csv", "linked.csv"]
+
+
+class TestCacheDir:
+    @pytest.mark.parametrize("env, want", [
+        ({"HAPAXPRIOR_CACHE_DIR": "/c", "XDG_CACHE_HOME": "/x"}, "/c"),
+        ({"HAPAXPRIOR_CACHE_DIR": "c"}, "c"),
+        ({"HAPAXPRIOR_CACHE_DIR": "", "XDG_CACHE_HOME": "/x"}, None),
+        ({"XDG_CACHE_HOME": "/x"}, "/x/hapaxprior"),
+        ({"XDG_CACHE_HOME": "x"}, "/h/.cache/hapaxprior"),  # relative: ignored
+        ({"XDG_CACHE_HOME": ""}, "/h/.cache/hapaxprior"),
+        ({}, "/h/.cache/hapaxprior"),
+    ])
+    def test_where_coded_corpora_are_cached(self, monkeypatch, env, want):
+        monkeypatch.delenv("HAPAXPRIOR_CACHE_DIR")
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        monkeypatch.setenv("HOME", "/h")
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert cli._cache_dir() == want
+
+    def test_a_run_caches_in_the_home_directory_and_without_one_nowhere(self, tmp_path, capsys, monkeypatch):
+        argv = ["spectrum", "--corpus", write_corpus(tmp_path, crossval_pairs()), "--class-spec", write_spec(tmp_path)]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("HAPAXPRIOR_CACHE_DIR")
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(list((tmp_path / "home" / ".cache" / "hapaxprior").iterdir())) == 1
+        # no HOME and no password entry: expanduser leaves "~" as it is
+        monkeypatch.delenv("HOME")
+        monkeypatch.setattr(os.path, "expanduser", lambda path: path)
+        assert run(capsys, *argv) == (0, out, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["class.spec", "corpus.tsv", "home"]
 
 
 class TestByteOrderMark:

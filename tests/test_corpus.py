@@ -2,6 +2,9 @@
 
 import ast
 import codecs
+import errno
+import hashlib
+import io
 import json
 import os
 import random
@@ -9,6 +12,7 @@ import re
 import subprocess
 import sys
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +29,7 @@ from hapaxprior import (
     save_class_spec,
     save_corpus,
 )
-from hapaxprior import _lines, corpus as corpus_module
+from hapaxprior import _cache, _lines, corpus as corpus_module
 from hapaxprior.corpus import shuffled_order
 from hapaxprior.crossval import FoldPlan
 from hapaxprior.spectrum import SpectrumTable, TypeCount
@@ -616,6 +620,296 @@ class TestSplitLoad:
             0, _lines.DROPPED, _lines.SKIPPED, 3, 1]
         assert done.stdout[len(done.stdout) - n_joined:].decode().split("\n") == ["lopen", "werken"]
         assert n_forms == 2
+
+
+def cache_entries(cache):
+    return sorted(cache.glob("*" + _cache.SUFFIX)) if cache.exists() else []
+
+
+@pytest.fixture
+def coded(monkeypatch):
+    """Count the loads that code their file (cache misses and uncached
+    loads); set coded.forbid to make coding fail, so a load must hit."""
+    code = corpus_module._code
+    record = SimpleNamespace(count=0, forbid=False)
+
+    def counted(*args):
+        assert not record.forbid, "coded a file that the cache holds"
+        record.count += 1
+        return code(*args)
+
+    monkeypatch.setattr(corpus_module, "_code", counted)
+    return record
+
+
+class TestCache:
+    def write(self, tmp_path, text=CORPUS_TEXT, name="corpus.tsv"):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def check_hit(self, path, spec, cache, coded, **options):
+        """Load path from the cache and return the result, failing if it codes the file."""
+        coded.forbid = True
+        try:
+            return load_corpus(path, spec, cache_dir=cache, **options)
+        finally:
+            coded.forbid = False
+
+    @pytest.mark.parametrize("cut", ["one pass", "split"])
+    def test_a_hit_equals_the_miss_and_an_uncached_load(self, tmp_path, en_spec, request, coded, cut):
+        if cut == "split":
+            split = request.getfixturevalue("split")
+        path, cache = tmp_path / "corpus.tsv", tmp_path / "cache"
+        rng = random.Random(3)
+        cached, errors = set(), 0
+        for _ in range(80):
+            text = TestColumns().random_corpus_text(rng)
+            fold_case = rng.random() < 0.5
+            path.write_bytes(text.encode("utf-8"))
+            want = oracles.load_lines(text, en_spec, fold_case)
+            if "error" in want:
+                errors += 1
+                with pytest.raises(CorpusFormatError, match=re.escape(f"{path}:{want['line']}: {want['error']}")):
+                    load_corpus(path, en_spec, fold_case=fold_case, cache_dir=cache)
+                continue
+            uncached = load_corpus(path, en_spec, fold_case=fold_case)
+            miss = load_corpus(path, en_spec, fold_case=fold_case, cache_dir=cache)
+            hit = self.check_hit(path, en_spec, cache, coded, fold_case=fold_case)
+            assert uncached == miss == hit, repr(text)
+            assert hit.form_ids.dtype == hit.functions.dtype == np.int64
+            assert not hit.form_ids.flags.writeable and not hit.functions.flags.writeable
+            cached.add((text, fold_case))
+            assert len(cache_entries(cache)) == len(cached)
+        assert 0 < errors < 80 and len(cached) > 30
+        if cut == "split":
+            assert 3 in split.parts and split.merged > 0
+
+    @pytest.mark.parametrize("n_forms, itemsize", [(1, 1), (128, 1), (129, 2), (32768, 2), (32769, 4)])
+    def test_cells_take_the_smallest_unsigned_type(self, tmp_path, en_spec, coded, n_forms, itemsize):
+        # the largest cell is form id n_forms - 1 times 2 plus function 1
+        text = "".join(f"w{i}en\tV(inf)\n" for i in range(n_forms - 1)) + f"w{n_forms - 1}en\tV(pl)\nhuis\tX\n"
+        path, cache = self.write(tmp_path, text), tmp_path / "cache"
+        want = load_corpus(path, en_spec)
+        assert load_corpus(path, en_spec, cache_dir=cache) == want
+        [entry] = cache_entries(cache)
+        assert _cache.FIELDS.unpack_from(entry.read_bytes(), _cache.DIGEST_BYTES) == (
+            _cache.FORMAT, itemsize, n_forms, 1)
+        assert self.check_hit(path, en_spec, cache, coded) == want
+
+    def test_a_hit_starts_no_helper(self, tmp_path, en_spec, split):
+        path, cache = self.write(tmp_path, CORPUS_TEXT * 3), tmp_path / "cache"
+        miss = load_corpus(path, en_spec, cache_dir=cache)
+        assert len(split.started) == 2 and split.parts == [3]
+        assert load_corpus(path, en_spec, cache_dir=cache) == miss
+        assert len(split.started) == 2 and split.parts == [3]
+
+    def test_other_bytes_or_options_miss(self, tmp_path, en_spec, coded):
+        path, cache = self.write(tmp_path), tmp_path / "cache"
+        first = load_corpus(path, en_spec, cache_dir=cache)
+        assert coded.count == 1 and len(cache_entries(cache)) == 1
+        tag_map = dict(en_spec.tag_map, **{"V(pl,past)": "inf"})
+        variants = [
+            ("bytes", CORPUS_TEXT + "eten\tV(pl)\n", en_spec, False),
+            ("a tag", CORPUS_TEXT, ClassSpec("dutch-en", ("inf", "pl"), "en", tag_map), False),
+            ("function order", CORPUS_TEXT, ClassSpec("dutch-en", ("pl", "inf"), "en", dict(en_spec.tag_map)), False),
+            ("functions", CORPUS_TEXT, ClassSpec("dutch-en", ("inf", "pl", "x"), "en",
+                                                 dict(en_spec.tag_map, X="x")), False),
+            ("suffix", CORPUS_TEXT, ClassSpec("dutch-en", ("inf", "pl"), "n", dict(en_spec.tag_map)), False),
+            ("fold_case", CORPUS_TEXT, en_spec, True),
+        ]
+        for i, (what, text, spec, fold_case) in enumerate(variants, 2):
+            path.write_text(text, encoding="utf-8")
+            want = load_corpus(path, spec, fold_case=fold_case)
+            before = coded.count
+            assert load_corpus(path, spec, fold_case=fold_case, cache_dir=cache) == want, what
+            assert coded.count == before + 1 and len(cache_entries(cache)) == i, what
+            assert self.check_hit(path, spec, cache, coded, fold_case=fold_case) == want, what
+        # the class name is not a coding option: a spec that codes alike hits
+        path.write_text(CORPUS_TEXT, encoding="utf-8")
+        renamed = ClassSpec("renamed", en_spec.functions, en_spec.suffix, dict(en_spec.tag_map))
+        hit = self.check_hit(path, renamed, cache, coded)
+        assert hit.spec is renamed and hit == TaggedCorpus.from_columns(
+            renamed, first.forms, first.form_ids, first.functions, first.dropped)
+
+    @staticmethod
+    def redigested(entry: bytes, forms=None, **fields) -> bytes:
+        """entry with other FIELDS values, or its forms changed by forms(list),
+        and the digest that matches them."""
+        start = _cache.DIGEST_BYTES + _cache.FIELDS.size
+        names = ("version", "itemsize", "cells", "dropped")
+        values = dict(zip(names, _cache.FIELDS.unpack_from(entry, _cache.DIGEST_BYTES)), **fields)
+        payload = entry[start:]
+        if forms:
+            end = start + values["itemsize"] * values["cells"]
+            payload = entry[start:end] + b"\n".join(forms(entry[end:].split(b"\n")))
+        rest = _cache.FIELDS.pack(*values.values()) + payload
+        return hashlib.sha256(rest).digest() + rest
+
+    @staticmethod
+    def flipped(entry: bytes, at: int) -> bytes:
+        return entry[:at] + bytes([entry[at] ^ 4]) + entry[at + 1:]
+
+    @pytest.mark.parametrize("damage", [
+        lambda entry: entry[:-1],
+        lambda entry: entry[:_cache.DIGEST_BYTES + 3],
+        lambda entry: b"",
+        lambda entry: entry + b"\0",
+        lambda entry: TestCache.flipped(entry, 0),
+        lambda entry: TestCache.flipped(entry, 48),
+        lambda entry: TestCache.flipped(entry, 56),
+        lambda entry: TestCache.flipped(entry, 64),
+        lambda entry: TestCache.flipped(entry, len(entry) - 3),
+        lambda entry: TestCache.redigested(entry, version=_cache.FORMAT + 1),
+        lambda entry: TestCache.redigested(entry, itemsize=3),
+        lambda entry: TestCache.redigested(entry, cells=10**6),
+        lambda entry: TestCache.redigested(entry, forms=lambda forms: [*forms[:-1], b"\xff" + forms[-1]]),
+        lambda entry: TestCache.redigested(entry, forms=lambda forms: forms[:-1]),
+        lambda entry: TestCache.redigested(entry, forms=lambda forms: [*forms, b"eten"]),
+    ], ids=["truncated", "short", "empty", "longer", "digest bit", "cell count bit", "dropped bit", "cell bit",
+            "form bit", "version", "itemsize 3", "cells past the end", "a form not UTF-8", "a form short",
+            "a form unused"])
+    def test_a_bad_entry_misses_and_is_rewritten(self, tmp_path, en_spec, coded, damage):
+        path, cache = self.write(tmp_path), tmp_path / "cache"
+        want = load_corpus(path, en_spec, cache_dir=cache)
+        [entry] = cache_entries(cache)
+        good = entry.read_bytes()
+        entry.write_bytes(damage(good))
+        assert load_corpus(path, en_spec, cache_dir=cache) == want
+        assert coded.count == 2 and cache_entries(cache) == [entry]
+        assert entry.read_bytes() == good
+        assert self.check_hit(path, en_spec, cache, coded) == want
+
+    def test_an_edit_to_the_coder_misses(self, tmp_path, en_spec, coded, monkeypatch):
+        path, cache = self.write(tmp_path), tmp_path / "cache"
+        want = load_corpus(path, en_spec, cache_dir=cache)
+        source = tmp_path / "source"
+        source.mkdir()
+        for name in _cache.SOURCES:
+            (source / name).write_bytes(Path(_cache.__file__).with_name(name).read_bytes())
+        monkeypatch.setattr(_cache, "__file__", str(source / "_cache.py"))
+        monkeypatch.setattr(_cache, "_source_digest", _cache._source_digest.__wrapped__)
+        assert self.check_hit(path, en_spec, cache, coded) == want  # the same source
+        for i, name in enumerate(_cache.SOURCES, 2):
+            with open(source / name, "a", encoding="utf-8") as fh:
+                fh.write("# edited\n")
+            assert load_corpus(path, en_spec, cache_dir=cache) == want
+            assert coded.count == i and len(cache_entries(cache)) == i, name
+            assert self.check_hit(path, en_spec, cache, coded) == want
+        # without its source the coder keys nothing: it loads uncached
+        (source / _cache.SOURCES[0]).unlink()
+        assert load_corpus(path, en_spec, cache_dir=cache) == want
+        assert coded.count == len(_cache.SOURCES) + 2 and len(cache_entries(cache)) == len(_cache.SOURCES) + 1
+
+    def test_a_cache_that_cannot_be_written_loads_normally(self, tmp_path, en_spec, coded, monkeypatch):
+        path = self.write(tmp_path)
+        want = load_corpus(path, en_spec)
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"")
+        for cache in (blocker, blocker / "cache"):  # a file, and a directory under a file
+            assert load_corpus(path, en_spec, cache_dir=cache) == want
+        assert blocker.read_bytes() == b""
+        # a write that fails half-way (here at the rename) leaves nothing behind
+        cache = tmp_path / "cache"
+
+        def no_space(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(_cache.os, "replace", no_space)
+        assert load_corpus(path, en_spec, cache_dir=cache) == want
+        assert list(cache.iterdir()) == []
+        assert coded.count == 4
+
+    def test_a_fifo_writes_no_entry(self, tmp_path, en_spec):
+        path, cache = self.write(tmp_path), tmp_path / "cache"
+        fifo = tmp_path / "corpus.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        corpus = load_corpus(fifo, en_spec, cache_dir=cache)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert corpus == load_corpus(path, en_spec) and not cache.exists()
+
+    @pytest.mark.parametrize("text", ["lopen\tV(inf)\nno tab here\n", "lopen\tV(inf)\nlop\udcffen\tV(pl)\n"])
+    def test_a_bad_corpus_writes_no_entry_and_keeps_its_message(self, tmp_path, en_spec, text):
+        path, cache = tmp_path / "corpus.tsv", tmp_path / "cache"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(CorpusFormatError) as uncached:
+            load_corpus(path, en_spec)
+        with pytest.raises(CorpusFormatError) as cached:
+            load_corpus(path, en_spec, cache_dir=cache)
+        assert str(cached.value) == str(uncached.value) and cache_entries(cache) == []
+
+    def test_an_error_while_hashing_keeps_the_message(self, tmp_path, en_spec, monkeypatch):
+        path, cache = self.write(tmp_path), tmp_path / "cache"
+
+        class Failing(io.BufferedReader):
+            def readinto(self, buffer):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(corpus_module, "open", lambda name, mode: Failing(io.FileIO(name, mode)), raising=False)
+        with pytest.raises(CorpusFormatError) as exc_info:
+            load_corpus(path, en_spec, cache_dir=cache)
+        assert str(exc_info.value) == f"cannot read corpus {path}: [Errno {errno.EIO}] {os.strerror(errno.EIO)}"
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("rewrite", ["appended", "same size", "replaced", "replaced unseen"])
+    def test_a_file_rewritten_during_the_load_writes_no_entry(self, tmp_path, en_spec, monkeypatch, rewrite):
+        path, cache = self.write(tmp_path), tmp_path / "cache"
+        code = corpus_module._code
+        text = CORPUS_TEXT.replace("werken", "wetten")
+
+        def rewriting(*args):
+            # after the hash, before the coding
+            if rewrite == "appended":
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write("eten\tV(pl)\n")
+            elif rewrite == "same size":
+                info = path.stat()
+                path.write_text(text, encoding="utf-8")
+                # as on a file system whose clock tick is coarser than the write
+                os.utime(path, ns=(info.st_atime_ns, info.st_mtime_ns + 1))
+            else:
+                fresh = tmp_path / "fresh.tsv"
+                fresh.write_text(text, encoding="utf-8")
+                if rewrite == "replaced unseen":  # as if the old file's status did not change
+                    unchanged = os.fstat(args[1].fileno())
+                    monkeypatch.setattr(os, "fstat", lambda fd: unchanged)
+                os.replace(fresh, path)
+            return code(*args)
+
+        monkeypatch.setattr(corpus_module, "_code", rewriting)
+        load_corpus(path, en_spec, cache_dir=cache)
+        assert cache_entries(cache) == []
+        monkeypatch.undo()
+        assert load_corpus(path, en_spec, cache_dir=cache) == load_corpus(path, en_spec)
+        assert len(cache_entries(cache)) == 1
+
+    def test_pruning_keeps_the_newest_entries_under_the_bound(self, tmp_path, en_spec, coded, monkeypatch):
+        cache = tmp_path / "cache"
+        paths = [self.write(tmp_path, CORPUS_TEXT + f"w{i}en\tV(pl)\n" * i, f"c{i}.tsv") for i in range(6)]
+        entries = []
+        for i, path in enumerate(paths[:5]):
+            load_corpus(path, en_spec, cache_dir=cache)
+            [entry] = set(cache_entries(cache)) - set(entries)
+            os.utime(entry, ns=(0, (i + 1) * 10**9))  # entries[0] is the least recently used
+            entries.append(entry)
+        # a hit makes entries[1] the most recently used
+        self.check_hit(paths[1], en_spec, cache, coded)
+        assert entries[1].stat().st_mtime_ns > entries[4].stat().st_mtime_ns > entries[3].stat().st_mtime_ns
+        load_corpus(paths[5], en_spec, cache_dir=tmp_path / "probe")
+        [probe] = cache_entries(tmp_path / "probe")
+        # room for c5's entry and the two most recently used others
+        bound = probe.stat().st_size + entries[1].stat().st_size + entries[4].stat().st_size
+        monkeypatch.setattr(_cache, "LIMIT_BYTES", bound)
+        load_corpus(paths[5], en_spec, cache_dir=cache)
+        assert cache_entries(cache) == sorted([cache / probe.name, entries[1], entries[4]])
+        assert sum(e.stat().st_size for e in cache_entries(cache)) == bound
+        # the entry just written stays, even alone over the bound
+        monkeypatch.setattr(_cache, "LIMIT_BYTES", 1)
+        load_corpus(paths[0], en_spec, cache_dir=cache)
+        assert cache_entries(cache) == [entries[0]]
 
 
 class TestShuffle:

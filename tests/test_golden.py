@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from hapaxprior import corpus
 from hapaxprior.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -96,6 +97,32 @@ def test_output_matches_golden(name):
     code, out = run_case(CASES[name])
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_output_is_the_same_with_the_cache_off_cold_and_warm(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    code_file = corpus._code
+
+    def counted(*args):
+        coded.append(args[0].name)
+        return code_file(*args)
+
+    monkeypatch.setattr(corpus, "_code", counted)
+    outputs = {}
+    for run in ("off", "cold", "warm"):
+        monkeypatch.setenv("HAPAXPRIOR_CACHE_DIR", "" if run == "off" else str(cache))
+        coded = []
+        for name, argv in CASES.items():
+            out = tmp_path / f"{run}.{name}.out"
+            outputs[run, name] = run_case(argv), run_case([*argv, "--out", str(out)]), out.read_bytes()
+        # the cases read four corpora under distinct options, each coded once when cold
+        assert (len(coded), len(list(cache.glob("*.cells"))) if cache.exists() else 0) == {
+            "off": (2 * len(CASES), 0), "cold": (4, 4), "warm": (0, 4)}[run]
+    for name in CASES:
+        golden = (GOLDEN / f"{name}.out").read_bytes()
+        for run in ("off", "cold", "warm"):
+            (code, stdout), (out_code, out_stdout), out = outputs[run, name]
+            assert (code, out_code, out_stdout) == (0, 0, "") and stdout.encode("utf-8") == out == golden, (run, name)
 
 
 @pytest.mark.parametrize("name", sorted(n for n in CASES if n.endswith(".crossval")))
