@@ -1,24 +1,24 @@
-"""Whole-or-nothing file writes, and the content-keyed cache of coded corpora.
+"""The content-keyed cache of coded corpora.
 
-replace_file writes a file through a temporary file and os.replace, so a
-failed write leaves the old file as it was.  A Slot is the cache entry of
-one corpus file's bytes under one set of coding options: load_corpus reads
-the coded columns from it instead of coding the file again.  hashlib and
-json are imported only when a corpus is cached.
+A Slot is the cache entry of one corpus file's bytes under one set of
+coding options: load_corpus reads the coded columns from it instead of
+coding the file again.  An entry is written whole or not at all (see
+_writer).  hashlib and json are imported only when a corpus is cached.
 """
 
 from __future__ import annotations
 
-import errno
 import functools
 import os
 import stat
 import struct
 from contextlib import suppress
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import BinaryIO
 
 import numpy as np
+
+from ._writer import writing
 
 # The number of the entry layout, held in each entry.  What an entry holds
 # for given bytes is decided by the source of SOURCES, whose sha256 is part
@@ -34,78 +34,6 @@ SUFFIX = ".cells"
 # After each write the least recently used entries are removed down to this many bytes.
 LIMIT_BYTES = 1 << 30
 HASH_BLOCK = 1 << 20
-
-
-def _file_path(path: str | os.PathLike) -> str | None:
-    """The absolute path, symlinks resolved, of the file that path names;
-    None when a link on the way leads into /proc, as /dev/stdout and
-    /dev/fd/N do: such a path names an open file (a pipe, or the file a
-    shell redirected to), which must be written, not replaced.  None too
-    for links in a loop, which only an open can report."""
-    target = os.path.abspath(path)
-    for _ in range(40):  # the links the kernel follows before ELOOP
-        directory, name = os.path.split(target)
-        directory = os.path.realpath(directory)
-        if directory == "/proc" or directory.startswith("/proc/"):
-            return None
-        target = os.path.join(directory, name)
-        if not os.path.islink(target):
-            return target
-        target = os.path.join(directory, os.readlink(target))
-    return None
-
-
-def replace_file(path: str | os.PathLike, chunks: Iterable[bytes]) -> None:
-    """Write the concatenated chunks to path, whole or not at all.
-
-    They go to a new temporary file in the target's directory, which then
-    replaces the target (os.replace); on any failure the temporary file is
-    removed and the target is left as it was.  A symlink is followed: the
-    file it names is replaced.  An existing target keeps its mode and a new
-    one gets the mode a plain open gives (0666 less the umask); an existing
-    target that this process may not write is refused, as open refuses it.
-
-    The target is written in place, as a plain open writes it, when
-    replacing it would lose what open keeps: when it is not a regular file
-    (a FIFO, a device), when path names an open file through /proc
-    (/dev/stdout, /dev/fd/N), when it has other hard links or another
-    owner, and when its directory does not let this process create the
-    temporary file.  A write in place that fails can leave it partial.
-    """
-    target = _file_path(path)
-    try:
-        info = os.stat(path)  # through every link, /proc's too
-    except OSError:  # none yet, or unreachable: creating the temporary file says why
-        info = None
-    if target is None or info is not None and (
-            not stat.S_ISREG(info.st_mode) or info.st_nlink > 1 or info.st_uid != os.geteuid()):
-        return _write_in_place(path, chunks)
-    if info is not None and not os.access(target, os.W_OK):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
-    directory, name = os.path.split(target)
-    temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-    try:
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:
-        if isinstance(exc, PermissionError) and info is not None:  # a directory closed to this process
-            return _write_in_place(path, chunks)
-        exc.filename = os.fspath(path)  # name the file asked for, as open would
-        raise
-    try:
-        with open(fd, "wb") as fh:
-            if info is not None:
-                os.chmod(temp, stat.S_IMODE(info.st_mode))
-            fh.writelines(chunks)
-        os.replace(temp, target)
-    except BaseException:
-        with suppress(OSError):
-            os.unlink(temp)
-        raise
-
-
-def _write_in_place(path: str | os.PathLike, chunks: Iterable[bytes]) -> None:
-    with open(path, "wb") as fh:
-        fh.writelines(chunks)
 
 
 def _signature(info: os.stat_result) -> tuple[int, ...]:
@@ -197,7 +125,8 @@ class Slot:
             digest.update(joined)
             directory = os.path.dirname(self.path)
             os.makedirs(directory, exist_ok=True)
-            replace_file(self.path, (digest.digest(), fields, packed, joined))
+            with writing(self.path) as entry:
+                entry.writelines((digest.digest(), fields, packed, joined))
             prune(directory, os.path.basename(self.path))
         except OSError:
             pass

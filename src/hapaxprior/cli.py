@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Callable, Sequence
 
-from ._cache import replace_file
+from ._writer import output
 from .corpus import (
     ClassSpec,
     CorpusFormatError,
@@ -43,19 +41,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(f"{message}\n{self.format_usage()}".rstrip())
-
-
-@contextmanager
-def _out_stream(path: str) -> Iterator[IO[str]]:
-    """Collect a subcommand's output; write it only once the body succeeded,
-    and then whole or not at all (see _cache.replace_file), so a failed run
-    never creates, truncates or half-writes --out."""
-    buffer = io.StringIO()
-    yield buffer
-    if path == "-":
-        sys.stdout.write(buffer.getvalue())
-    else:
-        replace_file(path, [buffer.getvalue().encode("utf-8")])
 
 
 def _header(args: argparse.Namespace, pairs: Sequence[tuple[str, object]] = ()) -> str:
@@ -107,7 +92,7 @@ def _load(args: argparse.Namespace) -> TaggedCorpus:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     corpus = _load(args)
     table = build_spectrum(corpus)
-    with _out_stream(args.out) as out:
+    with output(args.out) as out:
         out.write(_header(args))
         out.write(
             f"# types={(table.type_totals > 0).sum()} tokens={table.n_tokens}"
@@ -137,7 +122,7 @@ def cmd_priors(args: argparse.Namespace) -> int:
     forms = _gather_forms(args)
     corpus = _load(args)
     table = build_spectrum(corpus)
-    with _out_stream(args.out) as out:
+    with output(args.out) as out:
         out.write(_header(args, [("threshold", args.threshold)]))
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["form", "source", "support", *table.spec.functions])
@@ -209,7 +194,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     num = corpus.spec.function_index(ratio[0])
     runs = [_fold_cells(fr, num) for fr in report.folds]
     render = _render_csv if args.command == "crossval" else _render_table
-    with _out_stream(args.out) as out:
+    with output(args.out) as out:
         out.write(_header(args, [("k", args.k), ("ratio", "/".join(report.ratio))]))
         render(out, corpus.spec.functions, runs)
         for name, r in (("overall", report.ttest_o), ("hapax", report.ttest_h)):
@@ -227,7 +212,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     table = build_spectrum(corpus)
     points = class_proportions(table, reference)
     smoothed = running_median([p.proportion for p in points], args.smooth_window)
-    with _out_stream(args.out) as out:
+    with output(args.out) as out:
         out.write(_header(args, [("reference", reference), ("smooth_window", args.smooth_window)]))
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["frequency", "log_frequency", "n_types", "proportion", "smoothed"])

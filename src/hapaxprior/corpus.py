@@ -24,6 +24,7 @@ from typing import BinaryIO, Collection, Iterable, Sequence
 import numpy as np
 
 from . import _cache, _lines
+from ._writer import write_text
 
 
 class CorpusFormatError(ValueError):
@@ -477,7 +478,8 @@ def save_corpus(corpus: TaggedCorpus, path: str | Path, header: str | None = Non
     written first as a '#' comment line.  A form that would not read back as
     itself (empty, padded, starting with '#' or a byte-order mark, holding a
     tab or a line break), or such a tag (padded, holding a tab or a line
-    break), raises ValueError before the file is opened.
+    break), raises ValueError before the file is opened.  The file is
+    written whole or not at all, as every file the package writes.
     """
     forms = corpus.forms
     for form in forms:
@@ -488,13 +490,11 @@ def save_corpus(corpus: TaggedCorpus, path: str | Path, header: str | None = Non
     for tag in tags:
         if tag.strip() != tag or len(tag.splitlines()) > 1 or "\t" in tag:
             raise ValueError(f"cannot save tag {tag!r}: a reload would not read it back")
-    with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(f"# {header}\n")
-        fh.writelines(
-            f"{forms[i]}\t{tags[function]}\n"
-            for i, function in zip(corpus.form_ids.tolist(), corpus.functions.tolist())
-        )
+    lines = (
+        f"{forms[i]}\t{tags[function]}\n"
+        for i, function in zip(corpus.form_ids.tolist(), corpus.functions.tolist())
+    )
+    write_text(path, lines if header is None else chain([f"# {header}\n"], lines))
 
 
 def save_class_spec(spec: ClassSpec, path: str | Path) -> None:
@@ -502,7 +502,8 @@ def save_class_spec(spec: ClassSpec, path: str | Path) -> None:
 
     A padded name or suffix, or one holding a line break, a function label
     holding whitespace or a comma, and a tag holding whitespace raise
-    ValueError before the file is opened.
+    ValueError before the file is opened.  The file is written whole or not
+    at all.
     """
     for what, value in (("name", spec.name), ("suffix", spec.suffix)):
         if value.strip() != value or len(value.splitlines()) > 1:
@@ -513,12 +514,12 @@ def save_class_spec(spec: ClassSpec, path: str | Path) -> None:
     for tag in spec.tag_map:
         if tag.split() != [tag]:
             raise ValueError(f"cannot save tag {tag!r}: a reload would not read it back")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"name={spec.name}\n")
-        fh.write(f"suffix={spec.suffix}\n")
-        fh.write(f"functions={','.join(spec.functions)}\n")
-        for tag, label in spec.tag_map.items():
-            fh.write(f"map {tag} {label}\n")
+    write_text(path, [
+        f"name={spec.name}\n",
+        f"suffix={spec.suffix}\n",
+        f"functions={','.join(spec.functions)}\n",
+        *(f"map {tag} {label}\n" for tag, label in spec.tag_map.items()),
+    ])
 
 
 def _swap_targets(rng: random.Random, n: int) -> np.ndarray:

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from ._writer import write_text
 from .corpus import ClassSpec, TaggedCorpus
 
 
@@ -134,8 +136,7 @@ def generate(spec: SynthSpec) -> tuple[TaggedCorpus, SynthTruth]:
 
 
 def save_truth(truth: SynthTruth, path: str | Path) -> None:
-    """Write the truth sidecar: one ``form,true_p_reference`` row per type."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("form,true_p_reference\n")
-        for form, p in truth.probabilities.items():
-            fh.write(f"{form},{p:.10g}\n")
+    """Write the truth sidecar, whole or not at all: one
+    ``form,true_p_reference`` row per type."""
+    rows = (f"{form},{p:.10g}\n" for form, p in truth.probabilities.items())
+    write_text(path, chain(["form,true_p_reference\n"], rows))

@@ -493,16 +493,17 @@ class TestOutFile:
         assert code == 0
         return argv, out
 
-    def run_child(self, argv, limit=None, **options):
-        """Run main(argv) in a child process, whose files may not grow past
-        limit bytes if one is given."""
+    def run_child(self, argv, limit=None, env=(), **options):
+        """Run main(argv) in a child process, with env added to its
+        environment, whose files may not grow past limit bytes if one is
+        given."""
         script = ("import resource, sys\nfrom hapaxprior.cli import main\n"
                   f"if {limit}: resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
                   "sys.exit(main(sys.argv[1:]))\n")
         src = str(Path(hapaxprior.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        options = {"capture_output": True, **options}
-        return subprocess.run([sys.executable, "-c", script, *argv], env=env, text=True, timeout=120, **options)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **dict(env)}
+        options = {"capture_output": True, "text": True, **options}
+        return subprocess.run([sys.executable, "-c", script, *argv], env=env, timeout=120, **options)
 
     def test_a_failed_write_leaves_the_old_out_file_and_no_temporary_file(self, tmp_path, capsys):
         argv, out = self.spectrum(tmp_path, capsys)
@@ -520,6 +521,54 @@ class TestOutFile:
         # the limit is what failed: above the output, the same run writes it
         assert self.run_child([*argv, "--out", str(existing)], 1 << 20).returncode == 0
         assert existing.read_text() == out and list(directory.iterdir()) == [existing]
+
+    def test_a_failed_synth_leaves_each_file_whole_or_as_it_was(self, tmp_path):
+        argv = ["synth", "--n-types", "20", "--target-tokens", "2000", "--out", "s.tsv", "--spec-out", "s.spec"]
+        names = ["s.spec", "s.tsv", "s.tsv.truth.csv"]
+        whole = tmp_path / "whole"
+        whole.mkdir()
+        assert self.run_child(argv, cwd=whole).returncode == 0
+        new = {name: (whole / name).read_bytes() for name in names}
+        assert sorted(p.name for p in whole.iterdir()) == names
+        assert len(new["s.tsv"]) > max(len(new["s.spec"]), len(new["s.tsv.truth.csv"]))
+        # first: the truth sidecar, written first, fails; last: both sidecars fit, and the corpus fails
+        first, last = len(new["s.spec"]) // 2, max(len(new["s.spec"]), len(new["s.tsv.truth.csv"]))
+        for limit, committed in ((first, []), (last, ["s.spec", "s.tsv.truth.csv"])):
+            for existing in (False, True):
+                directory = tmp_path / f"{limit}-{existing}"
+                directory.mkdir()
+                old = {name: f"old {name}\n".encode() for name in names} if existing else {}
+                for name, data in old.items():
+                    (directory / name).write_bytes(data)
+                done = self.run_child(argv, limit, cwd=directory)
+                assert (done.returncode, done.stdout) == (2, "")
+                assert done.stderr == f"hapaxprior: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+                got = {p.name: p.read_bytes() for p in directory.iterdir()}
+                want = {name: new[name] if name in committed else old.get(name) for name in names}
+                assert got == {name: data for name, data in want.items() if data is not None}, (limit, existing)
+
+    def test_text_that_is_not_utf8_is_written_as_the_bytes_stdout_gives(self, tmp_path, capsys):
+        argv, _ = self.spectrum(tmp_path, capsys)
+        odd = tmp_path / "s\udcff.tsv"  # a name holding the byte 0xff, as Python holds it
+        odd.write_bytes(Path(argv[2]).read_bytes())
+        c_locale = {"LC_ALL": "C", "PYTHONIOENCODING": "", "PYTHONUTF8": ""}
+        strict = {**c_locale, "PYTHONIOENCODING": "utf-8:strict"}
+        out = tmp_path / "case.out"
+        for case in (["priors", *argv[1:], "--form", "lop\udcffen"], ["spectrum", "--corpus", str(odd), *argv[3:]]):
+            assert run(capsys, *case, "--out", str(out)) == (0, "", "")
+            written = out.read_bytes()
+            assert b"\xff" in written
+            done = self.run_child(case, env=c_locale, text=False)
+            assert (done.returncode, done.stdout, done.stderr) == (0, written, b"")
+            # a stdout that cannot encode the byte gets nothing, and the run one line
+            done = self.run_child(case, env=strict)
+            assert (done.returncode, done.stdout) == (2, "")
+            assert re.fullmatch(r"hapaxprior: \[Errno \d+\] stdout \(utf-8\) cannot encode '\\udcff'.*\n",
+                                done.stderr)
+            # while --out does not depend on stdout
+            out.unlink()
+            assert self.run_child([*case, "--out", str(out)], env=strict).returncode == 0
+            assert out.read_bytes() == written
 
     def test_the_out_file_gets_the_mode_a_plain_open_gives(self, tmp_path, capsys):
         argv, out = self.spectrum(tmp_path, capsys)
@@ -594,13 +643,19 @@ class TestOutFile:
         for target in ("/dev/stdout", str(link)):
             done = self.run_child([*argv, "--out", target])
             assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
-        # /dev/stdout on a file that the caller redirected it to: the same file, not one renamed over it
+        # /dev/stdout and /dev/fd/N on a file that the caller redirected them to: the same file, not one
+        # renamed over it, written at the offset the caller left, as a shell's { echo; ...; echo; } > f leaves it
         redirected = tmp_path / "redirected.csv"
-        with open(redirected, "wb") as fh:
-            done = self.run_child([*argv, "--out", "/dev/stdout"], capture_output=False, stdout=fh,
-                                  stderr=subprocess.PIPE)
-            assert os.fstat(fh.fileno()).st_ino == redirected.stat().st_ino
-        assert (done.returncode, done.stderr, redirected.read_text()) == (0, "", out)
+        for target in ("/dev/stdout", "/dev/fd/{}"):
+            with open(redirected, "wb") as fh:
+                fh.write(b"header\n")
+                fh.flush()
+                done = self.run_child([*argv, "--out", target.format(fh.fileno())], capture_output=False,
+                                      stdout=fh, stderr=subprocess.PIPE, pass_fds=[fh.fileno()])
+                assert os.fstat(fh.fileno()).st_ino == redirected.stat().st_ino
+                fh.write(b"trailer\n")
+            assert (done.returncode, done.stderr) == (0, "")
+            assert redirected.read_bytes() == b"header\n" + out.encode() + b"trailer\n", target
         assert sorted(p.name for p in tmp_path.iterdir()) == ["class.spec", "corpus.tsv", "redirected.csv", "stdout"]
 
     def test_a_file_that_a_rename_would_change_is_written_in_place(self, tmp_path, capsys, monkeypatch):
