@@ -1,7 +1,7 @@
 """Line coding of ``form<TAB>tag`` files, with the standard library only.
 
 code_part() codes the lines of one byte range of a corpus; it is the only
-line coder.  load_corpus runs it on a corpus's first part, and on any part
+line coder.  _cache._code runs it on a corpus's first part, and on any part
 whose helper failed.  Run as a script, this module runs it on one byte
 range in a helper interpreter::
 
@@ -35,13 +35,13 @@ HEADER = struct.Struct("<3Q")
 
 
 class BadLine(ValueError):
-    """A data line that is not ``form<TAB>tag``; code_part raises it with the
-    line's index in its part and the reason."""
+    """A data line that is not ``form<TAB>tag``; args are the line's index,
+    in code_part's part or (from _cache) in the file, and the reason."""
 
 
 class BadBytes(ValueError):
-    """Bytes that are not UTF-8; args are the UnicodeDecodeError and the
-    number of bytes of the part before the piece it was raised on."""
+    """Bytes that are not UTF-8; args are the UnicodeDecodeError and the bytes
+    before the piece it was raised on, of its part or (from _cache) the file."""
 
 
 def pieces(fh: BufferedReader, start: int, end: int | None, block_bytes: int) -> Iterator[bytes]:

@@ -9,17 +9,12 @@ corpus tags onto a small set of function labels.
 
 from __future__ import annotations
 
-import codecs
-import os
 import random
-import stat
-import struct
-import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,14 +34,6 @@ def int64_array(values, name: str) -> np.ndarray:
     if array.size and array.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integers, not {array.dtype} values")
     return np.array(array, dtype=np.int64)
-
-
-def _numbers_in_order(form_ids: np.ndarray, n_forms: int) -> bool:
-    """Whether form_ids number n_forms forms in first-occurrence order, each
-    of them used: every id is at most one above every id before it, and the
-    largest is n_forms - 1."""
-    running = np.maximum.accumulate(np.concatenate(([-1], form_ids)))
-    return form_ids.min(initial=0) >= 0 and not (np.diff(running) > 1).any() and running[-1] == n_forms - 1
 
 
 @dataclass(frozen=True)
@@ -150,7 +137,7 @@ class TaggedCorpus:
                 raise ValueError("token form is empty")
             if not form.endswith(spec.suffix):
                 raise ValueError(f"token {form!r} does not end with {spec.suffix!r}")
-        if not _numbers_in_order(form_ids, len(forms)):
+        if not _cache._numbers_in_order(form_ids, len(forms)):
             raise ValueError("form_ids must number every form in first-occurrence order")
         n = spec.n_functions
         bad = np.flatnonzero((functions < 0) | (functions >= n))
@@ -196,17 +183,25 @@ class TaggedCorpus:
         )
 
 
-def _unreadable(what: str, path: str | Path, exc: _lines.BadBytes, offset: int = 0) -> CorpusFormatError:
+def _is_text(value: str) -> bool:
+    """Whether value holds no lone surrogate.  One stands for a byte that was
+    not UTF-8, and is written back as that byte, which a reload cannot decode."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _unreadable(what: str, path: str | Path, exc: _lines.BadBytes) -> CorpusFormatError:
     """CorpusFormatError("cannot read <what> <path>: ...") with the codec's
     message for exc, its position counted in bytes after a leading
-    byte-order mark, as decoding the whole file with utf-8-sig counts it;
-    offset is the number of those bytes before the part exc was raised in."""
+    byte-order mark, as decoding the whole file with utf-8-sig counts it."""
     error, before = exc.args
-    offset += before
     if error.end - error.start == 1:
-        where = f"byte 0x{error.object[error.start]:02x} in position {error.start + offset}"
+        where = f"byte 0x{error.object[error.start]:02x} in position {error.start + before}"
     else:
-        where = f"bytes in position {error.start + offset}-{error.end - 1 + offset}"
+        where = f"bytes in position {error.start + before}-{error.end - 1 + before}"
     return CorpusFormatError(f"cannot read {what} {path}: '{error.encoding}' codec can't decode {where}: {error.reason}")
 
 
@@ -216,11 +211,8 @@ def read_line_list(path: str | Path, what: str) -> list[tuple[int, str]]:
     CorpusFormatError("cannot read <what> <path>: ...")."""
     try:
         with open(path, "rb") as fh:
-            return [
-                (no, line.strip())
-                for no, line in enumerate(chain.from_iterable(_lines.line_lists(fh, 0, None, _lines.BLOCK_BYTES)), 1)
-                if line.strip() and not line.lstrip().startswith("#")
-            ]
+            lines = map(str.strip, chain.from_iterable(_lines.line_lists(fh, 0, None, _lines.BLOCK_BYTES)))
+            return [(no, line) for no, line in enumerate(lines, 1) if line and line[0] != "#"]
     except _lines.BadBytes as exc:
         raise _unreadable(what, path, exc) from None
     except OSError as exc:
@@ -270,158 +262,6 @@ def load_class_spec(path: str | Path) -> ClassSpec:
         raise CorpusFormatError(f"{path}: {exc}") from exc
 
 
-# the least bytes a helper codes: a smaller part costs more to start and merge than it saves
-_PART_BYTES = 2 << 20
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _parts(fh: BinaryIO) -> list[tuple[int, int | None, int]]:
-    """(start, end, offset) of each part load_corpus codes on its own: end
-    None reads to the end of the stream, and offset counts the bytes before
-    start that follow a leading byte-order mark.
-
-    One part, the whole stream, unless fh is a regular file of at least two
-    parts of _PART_BYTES and the process may use 2 or more CPUs; then at most
-    one part per usable CPU and per _PART_BYTES.  Each inner bound lies right
-    after the first b"\n" at or after its share of the file minus one byte;
-    a share whose bound would not lie past the one before it gets none.
-    """
-    info = os.fstat(fh.fileno())
-    size = info.st_size
-    n_parts = min(_usable_cpus(), size // _PART_BYTES) if stat.S_ISREG(info.st_mode) and sys.executable else 1
-    if n_parts < 2:
-        return [(0, None, 0)]
-    bounds = [0]
-    for i in range(1, n_parts):
-        fh.seek(size * i // n_parts - 1)
-        while (line := fh.readline(_lines.BLOCK_BYTES)) and not line.endswith(b"\n"):
-            pass
-        if (at := fh.tell()) >= size:
-            break
-        if at > bounds[-1]:
-            bounds.append(at)
-    bounds.append(size)
-    fh.seek(0)
-    mark = len(codecs.BOM_UTF8) if fh.read(3) == codecs.BOM_UTF8 else 0
-    fh.seek(0)
-    return [(start, end, start and start - mark) for start, end in zip(bounds, bounds[1:])]
-
-
-def _start_helpers(path: Path, parts: list[tuple[int, int | None, int]], job: tuple) -> list:
-    """One helper interpreter per part, each running _lines as a script on
-    its byte range and job, the arguments of _lines.code_part after end; None
-    for a part whose helper could not be started."""
-    if not parts:
-        return []
-    import json
-    import subprocess
-
-    helpers = []
-    for start, end, _ in parts:
-        try:
-            helpers.append(subprocess.Popen(
-                [sys.executable, "-I", "-S", _lines.__file__, json.dumps([os.fspath(path), start, end, *job])],
-                stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL))
-        except OSError:
-            helpers.append(None)
-    return helpers
-
-
-def _stop_helpers(helpers: list) -> None:
-    """Kill (when still running) and reap every helper."""
-    for proc in helpers:
-        if proc is not None:
-            proc.kill()  # a no-op for one already reaped
-            proc.wait()
-            proc.stdout.close()
-
-
-def _helper_result(proc, n: int, max_lines: int) -> tuple[np.ndarray, list[str]] | None:
-    """(codes, forms) a helper wrote, as _lines.code_part returns them (forms
-    as a list); None if it failed or wrote a malformed result: one with more
-    than max_lines lines, a code out of range, forms that are not all used in
-    first-occurrence order, or a repeated form (which the merge would number
-    twice if new, and give one id if not)."""
-    out = proc.stdout
-    try:
-        n_lines, n_forms, n_joined = _lines.HEADER.unpack(out.read(_lines.HEADER.size))
-        if n_lines > max_lines:
-            return None
-        codes = np.empty(n_lines, np.int64)
-        if out.readinto(codes) != codes.nbytes:
-            return None
-        joined = out.read()
-        if proc.wait() or len(joined) != n_joined:
-            return None
-        forms = joined.decode("utf-8").split("\n") if n_forms else []
-    except (OSError, ValueError, struct.error):
-        return None
-    if (len(forms) != n_forms or codes.min(initial=0) < _lines.SKIPPED
-            or not _numbers_in_order(codes[codes >= 0] // n, n_forms) or len(set(forms)) < n_forms):
-        return None
-    return codes, forms
-
-
-def _merge_forms(index: dict[str, int], forms: Collection[str], n: int, last: bool) -> tuple[np.ndarray, list[str]]:
-    """(cell_map, unindexed) for a part whose distinct forms, in its own
-    numbering, are forms: per cell of that numbering the cell under index's
-    numbering, where the forms index lacks are numbered after index's, in
-    the part's order.  Those forms enter index, unless the part is the last:
-    no later part looks them up, so they are returned as unindexed, to
-    follow index's forms."""
-    ids = np.fromiter(map(index.get, forms, repeat(-1)), np.int64, len(forms))  # one lookup per form
-    new = ids < 0
-    ids[new] = np.arange(len(index), len(index) + np.count_nonzero(new))
-    unindexed = list(compress(forms, new.tolist()))
-    if not last:
-        index.update(zip(unindexed, ids[new].tolist()))
-        unindexed = []
-    return (ids[:, None] * n + np.arange(n)).ravel(), unindexed
-
-
-def _code(path: Path, fh: BinaryIO, job: tuple) -> tuple[np.ndarray, tuple[str, ...], int]:
-    """(cells, forms, dropped) of the corpus file fh, opened at path at its
-    start, coded with job, the arguments of _lines.code_part after end:
-    the form_id * n + function of each kept line as a new int64 array, the
-    forms in first-occurrence order and the number of dropped lines."""
-    n = job[2]  # code_part's
-    kept = []
-    dropped = done = 0  # done: lines before the part being coded
-    parts = _parts(fh)
-    helpers = _start_helpers(path, parts[1:], job)
-    try:
-        for i, ((start, end, offset), helper) in enumerate(zip(parts, [None, *helpers])):
-            try:
-                codes, forms = (helper and _helper_result(helper, n, end - start)
-                                or _lines.code_part(fh, start, end, *job))
-            except _lines.BadLine as exc:
-                at, reason = exc.args
-                raise CorpusFormatError(f"{path}:{done + at + 1}: {reason}") from None
-            except _lines.BadBytes as exc:
-                raise _unreadable("corpus", path, exc, offset) from None
-            codes = np.frombuffer(codes, np.int64)
-            cells = codes[codes >= 0]
-            if i:
-                cell_map, unindexed = _merge_forms(index, forms, n, i == len(parts) - 1)
-                cells = cell_map[cells]
-            else:  # the first part numbers its forms as the columns do
-                index, unindexed = forms, []
-            kept.append(cells)
-            dropped += int(np.count_nonzero(codes == _lines.DROPPED))
-            done += len(codes)
-    finally:
-        _stop_helpers(helpers)
-    del codes, cells  # the last part's, before the columns take memory
-    return np.concatenate(kept), tuple(chain(index, unindexed)), dropped
-
-
 def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False, *,
                 cache_dir: str | Path | None = None) -> TaggedCorpus:
     """Load a ``form<TAB>tag`` file and project it onto `spec`.
@@ -432,40 +272,25 @@ def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False, *,
     An empty result is not an error.  A leading UTF-8 byte-order mark is
     ignored.  The file is read in pieces, so the whole text is never held.
 
-    A large regular file is cut into parts (see _parts) and coded in
-    parallel: this process codes the first part with _lines.code_part while
-    stdlib-only helper interpreters (``python -I -S``) run it on the later
-    ones.  A part whose helper fails for any reason is coded here instead.
-    The first part's forms are the index that each later part's forms are
-    merged into, in file order, so the result and the first error are the
-    ones a single pass gives.
-
-    With a cache_dir, the coded result of a regular file is cached there,
-    keyed by the sha256 of the file's bytes, the coding options and the
-    coder's source (see _cache.Slot), and a later load of the same bytes
-    reads it instead of coding them.  A missing entry, a bad one and one
-    whose cells do not number its forms are misses, which write it anew;
-    an entry that cannot be written is skipped.  The result is the same.
+    _cache.coded codes the lines, a large regular file in parts on helper
+    interpreters.  With a cache_dir it keeps a regular file's result there,
+    keyed by the sha256 of its bytes, the coding options and the source of
+    _lines and _cache, for later loads of the same bytes; the result and the
+    first error are the ones a one-pass, uncached load gives.
     """
     path = Path(path)
-    n = spec.n_functions
     function_of = {tag: spec.function_index(label) for tag, label in spec.tag_map.items()}
-    job = (_lines.BLOCK_BYTES, function_of, n, spec.suffix, fold_case)  # code_part's arguments after end
+    job = (_lines.BLOCK_BYTES, function_of, spec.n_functions, spec.suffix, fold_case)  # code_part's after end
     try:
         with open(path, "rb") as fh:
-            slot = cache_dir is not None and _cache.Slot.of(fh, os.fspath(path), cache_dir, job[1:])
-            coded = slot and slot.read()
-            if coded and not _numbers_in_order(coded[0] // n, len(coded[1])):
-                coded = None  # an entry that the coder cannot have written
-            if not coded:
-                coded = _code(path, fh, job)
-                if slot:
-                    slot.write(fh, *coded)
+            form_ids, functions, forms, dropped = _cache.coded(fh, path, job, cache_dir)
+    except _lines.BadLine as exc:
+        at, reason = exc.args
+        raise CorpusFormatError(f"{path}:{at + 1}: {reason}") from None
+    except _lines.BadBytes as exc:
+        raise _unreadable("corpus", path, exc) from None
     except OSError as exc:
         raise CorpusFormatError(f"cannot read corpus {path}: {exc}") from exc
-    form_ids, forms, dropped = coded
-    functions = form_ids % n
-    form_ids //= n  # in place: at 10M tokens each column takes 80 MB
     # the columns hold by construction what from_columns would check
     return TaggedCorpus._of_valid_columns(spec, forms, form_ids, functions, dropped)
 
@@ -477,19 +302,23 @@ def save_corpus(corpus: TaggedCorpus, path: str | Path, header: str | None = Non
     the same spec reproduces the token sequence.  `header`, if given, is
     written first as a '#' comment line.  A form that would not read back as
     itself (empty, padded, starting with '#' or a byte-order mark, holding a
-    tab or a line break), or such a tag (padded, holding a tab or a line
-    break), raises ValueError before the file is opened.  The file is
+    tab, a line break or a lone surrogate), such a tag (padded, holding a
+    tab, a line break or a lone surrogate), or a header holding a line
+    break or a lone surrogate, raises ValueError before the file is opened.  The file is
     written whole or not at all, as every file the package writes.
     """
     forms = corpus.forms
     for form in forms:
-        if form.strip().splitlines() != [form] or form.startswith(("#", "\ufeff")) or "\t" in form:
+        if (form.strip().splitlines() != [form] or form.startswith(("#", "\ufeff")) or "\t" in form
+                or not _is_text(form)):
             raise ValueError(f"cannot save form {form!r}: a reload would not read it back")
     tag_map = corpus.spec.tag_map
     tags = [next(tag for tag, target in tag_map.items() if target == label) for label in corpus.spec.functions]
     for tag in tags:
-        if tag.strip() != tag or len(tag.splitlines()) > 1 or "\t" in tag:
+        if tag.strip() != tag or len(tag.splitlines()) > 1 or "\t" in tag or not _is_text(tag):
             raise ValueError(f"cannot save tag {tag!r}: a reload would not read it back")
+    if header is not None and (len(header.splitlines()) > 1 or not _is_text(header)):
+        raise ValueError(f"cannot save header {header!r}: a reload would not read it back")
     lines = (
         f"{forms[i]}\t{tags[function]}\n"
         for i, function in zip(corpus.form_ids.tolist(), corpus.functions.tolist())
@@ -501,18 +330,18 @@ def save_class_spec(spec: ClassSpec, path: str | Path) -> None:
     """Write an ambiguity-class file that load_class_spec reads back as spec.
 
     A padded name or suffix, or one holding a line break, a function label
-    holding whitespace or a comma, and a tag holding whitespace raise
-    ValueError before the file is opened.  The file is written whole or not
-    at all.
+    holding whitespace or a comma, a tag holding whitespace, and any of them
+    holding a lone surrogate raise ValueError before the file is opened.
+    The file is written whole or not at all.
     """
     for what, value in (("name", spec.name), ("suffix", spec.suffix)):
-        if value.strip() != value or len(value.splitlines()) > 1:
+        if value.strip() != value or len(value.splitlines()) > 1 or not _is_text(value):
             raise ValueError(f"cannot save class {what} {value!r}: a reload would not read it back")
     for label in spec.functions:
-        if label.split() != [label] or "," in label:
+        if label.split() != [label] or "," in label or not _is_text(label):
             raise ValueError(f"cannot save function label {label!r}: a reload would not read it back")
     for tag in spec.tag_map:
-        if tag.split() != [tag]:
+        if tag.split() != [tag] or not _is_text(tag):
             raise ValueError(f"cannot save tag {tag!r}: a reload would not read it back")
     write_text(path, [
         f"name={spec.name}\n",

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ._writer import write_text
-from .corpus import ClassSpec, TaggedCorpus
+from .corpus import ClassSpec, TaggedCorpus, _is_text
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,8 @@ class SynthSpec:
             raise ValueError(f"functions must be 2 distinct labels, got {self.functions}")
         if any(label.split() != [label] or "," in label for label in self.functions):
             raise ValueError(f"function labels must hold no whitespace or comma, got {self.functions}")
+        if not all(map(_is_text, self.functions)):
+            raise ValueError(f"function labels must be UTF-8 text, got {self.functions}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

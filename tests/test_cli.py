@@ -347,6 +347,15 @@ class TestSynth:
         assert code == 0
         assert "# types=30 tokens=120" in out2
 
+    def test_a_label_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        # "a\udcff" is how Python holds the argument bytes a\xff; a class file
+        # or a corpus holding that byte would not load
+        for spec_out in ([], ["--spec-out", str(tmp_path / "u.spec")]):
+            code, out, err = run(capsys, "synth", "--n-types", "20", "--target-tokens", "100",
+                                 "--functions", "a\udcff,b", "--out", str(tmp_path / "u.tsv"), *spec_out)
+            assert (code, out) == (1, "") and re.fullmatch(r"hapaxprior: [^\n]*UTF-8 text[^\n]*\n", err), err
+        assert list(tmp_path.iterdir()) == []
+
     def test_truth_out_flag(self, tmp_path, capsys):
         truth = tmp_path / "custom_truth.csv"
         code, _, _ = run(

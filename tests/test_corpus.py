@@ -117,6 +117,11 @@ class TestClassSpec:
         ("function label", "a,c", ClassSpec("x", ("a,c", "b"), "", {"A": "a,c", "B": "b"})),
         ("class name", "x\ny", ClassSpec("x\ny", ("a", "b"), "", {"A": "a", "B": "b"})),
         ("class suffix", "en ", ClassSpec("x", ("a", "b"), "en ", {"A": "a", "B": "b"})),
+        # a lone surrogate is written as the byte it stands for, which a reload cannot decode
+        ("tag", "A\udcff", ClassSpec("x", ("a", "b"), "", {"A\udcff": "a", "B": "b"})),
+        ("function label", "a\udcff", ClassSpec("x", ("a\udcff", "b"), "", {"A": "a\udcff", "B": "b"})),
+        ("class name", "x\udcff", ClassSpec("x\udcff", ("a", "b"), "", {"A": "a", "B": "b"})),
+        ("class suffix", "en\ud800", ClassSpec("x", ("a", "b"), "en\ud800", {"A": "a", "B": "b"})),
     ])
     def test_save_refuses_a_field_it_cannot_write(self, tmp_path, field, value, spec):
         out = tmp_path / "out.spec"
@@ -184,7 +189,7 @@ class TestLoadCorpus:
         assert again.tokens == corpus.tokens
 
     @pytest.mark.parametrize("form", [
-        " x", "x ", "#x", "x\ty", "x\u2028y", "x\x0by", "x\r\ny", "x\n", "x\x85", "\ufeffx",
+        " x", "x ", "#x", "x\ty", "x\u2028y", "x\x0by", "x\r\ny", "x\n", "x\x85", "\ufeffx", "x\udcff", "x\ud800",
     ])
     def test_save_refuses_a_form_it_cannot_write(self, tmp_path, ab_spec, form):
         corpus = TaggedCorpus.from_columns(ab_spec, ("a", form), [0, 1], [0, 1])
@@ -193,13 +198,21 @@ class TestLoadCorpus:
             save_corpus(corpus, out)
         assert not out.exists()
 
-    @pytest.mark.parametrize("tag", [" A", "A ", "A\tB", "A\nB", "A\u2028B"])
+    @pytest.mark.parametrize("tag", [" A", "A ", "A\tB", "A\nB", "A\u2028B", "A\udcff"])
     def test_save_refuses_a_tag_it_cannot_write(self, tmp_path, tag):
         spec = ClassSpec(name="x", functions=("a", "b"), suffix="", tag_map={tag: "a", "B": "b"})
         corpus = TaggedCorpus.from_columns(spec, ("x", "y"), [0, 1], [0, 1])
         out = tmp_path / "out.tsv"
         with pytest.raises(ValueError, match=re.escape(f"tag {tag!r}")):
             save_corpus(corpus, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header", ["made from s\udcff.tsv", "made\nfrom\tA", "made\x85from"])
+    def test_save_refuses_a_header_it_cannot_write(self, tmp_path, ab_spec, header):
+        corpus = TaggedCorpus.from_columns(ab_spec, ("x",), [0], [0])
+        out = tmp_path / "out.tsv"
+        with pytest.raises(ValueError, match=re.escape(f"header {header!r}")):
+            save_corpus(corpus, out, header=header)
         assert not out.exists()
 
     def test_save_then_load_keeps_unusual_tags(self, tmp_path):
@@ -354,9 +367,9 @@ def split(monkeypatch):
     """Make load_corpus cut every regular file into up to 3 parts; record
     the number of parts of each load, each helper started and the number
     of helper results merged."""
-    monkeypatch.setattr(corpus_module, "_PART_BYTES", 1)
-    monkeypatch.setattr(corpus_module, "_usable_cpus", lambda: 3)
-    parts, helper_result = corpus_module._parts, corpus_module._helper_result
+    monkeypatch.setattr(_cache, "_PART_BYTES", 1)
+    monkeypatch.setattr(_cache, "_usable_cpus", lambda: 3)
+    parts, helper_result = _cache._parts, _cache._helper_result
 
     class Recorded(subprocess.Popen):
         def __init__(self, *args, **kwargs):
@@ -375,15 +388,15 @@ def split(monkeypatch):
 
     record = SimpleNamespace(parts=[], started=[], merged=0, Popen=Recorded)
     monkeypatch.setattr(subprocess, "Popen", Recorded)
-    monkeypatch.setattr(corpus_module, "_parts", counted_parts)
-    monkeypatch.setattr(corpus_module, "_helper_result", counted_result)
+    monkeypatch.setattr(_cache, "_parts", counted_parts)
+    monkeypatch.setattr(_cache, "_helper_result", counted_result)
     return record
 
 
 def serial_load(monkeypatch, *args, **kwargs):
     """load_corpus as a one-CPU host runs it: what a split load must equal."""
     with monkeypatch.context() as m:
-        m.setattr(corpus_module, "_usable_cpus", lambda: 1)
+        m.setattr(_cache, "_usable_cpus", lambda: 1)
         return load_corpus(*args, **kwargs)
 
 
@@ -422,7 +435,7 @@ class TestSplitLoad:
 
     def part_starts(self, path):
         with open(path, "rb") as fh:
-            return [start for start, _, _ in corpus_module._parts(fh)]
+            return [start for start, _, _ in _cache._parts(fh)]
 
     def three_part_file(self, path, monkeypatch, lines):
         """Write lines in 3 parts, cut at line breaks in 1-byte blocks;
@@ -444,8 +457,8 @@ class TestSplitLoad:
         path = tmp_path / "corpus.tsv"
         for _ in range(60):
             cpus, part_bytes, block_bytes = rng.randint(1, 4), rng.choice([1, 20, 60]), rng.choice([1, 5, 64])
-            monkeypatch.setattr(corpus_module, "_usable_cpus", lambda: cpus)
-            monkeypatch.setattr(corpus_module, "_PART_BYTES", part_bytes)
+            monkeypatch.setattr(_cache, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(_cache, "_PART_BYTES", part_bytes)
             monkeypatch.setattr(_lines, "BLOCK_BYTES", block_bytes)
             # short lines, lines longer than a block, breaks other than b"\n",
             # and often a long last line after the last b"\n", past some shares
@@ -457,7 +470,7 @@ class TestSplitLoad:
             data = (codecs.BOM_UTF8 if rng.random() < 0.3 else b"") + text.encode("utf-8")
             path.write_bytes(data)
             with open(path, "rb") as fh:
-                parts = corpus_module._parts(fh)
+                parts = _cache._parts(fh)
                 assert fh.tell() == 0
             size, mark = len(data), 3 * data.startswith(codecs.BOM_UTF8)
             n_parts = min(cpus, size // part_bytes)
@@ -630,7 +643,7 @@ def cache_entries(cache):
 def coded(monkeypatch):
     """Count the loads that code their file (cache misses and uncached
     loads); set coded.forbid to make coding fail, so a load must hit."""
-    code = corpus_module._code
+    code = _cache._code
     record = SimpleNamespace(count=0, forbid=False)
 
     def counted(*args):
@@ -638,7 +651,7 @@ def coded(monkeypatch):
         record.count += 1
         return code(*args)
 
-    monkeypatch.setattr(corpus_module, "_code", counted)
+    monkeypatch.setattr(_cache, "_code", counted)
     return record
 
 
@@ -785,11 +798,16 @@ class TestCache:
         want = load_corpus(path, en_spec, cache_dir=cache)
         source = tmp_path / "source"
         source.mkdir()
-        for name in _cache.SOURCES:
-            (source / name).write_bytes(Path(_cache.__file__).with_name(name).read_bytes())
+        for module in Path(_cache.__file__).parent.glob("*.py"):
+            (source / module.name).write_bytes(module.read_bytes())
         monkeypatch.setattr(_cache, "__file__", str(source / "_cache.py"))
         monkeypatch.setattr(_cache, "_source_digest", _cache._source_digest.__wrapped__)
         assert self.check_hit(path, en_spec, cache, coded) == want  # the same source
+        # the public model, the readers, the savers and the replay decide nothing an entry holds
+        for name in ("corpus.py", "crossval.py", "spectrum.py"):
+            with open(source / name, "a", encoding="utf-8") as fh:
+                fh.write("# edited\n")
+            assert self.check_hit(path, en_spec, cache, coded) == want, name
         for i, name in enumerate(_cache.SOURCES, 2):
             with open(source / name, "a", encoding="utf-8") as fh:
                 fh.write("# edited\n")
@@ -800,6 +818,38 @@ class TestCache:
         (source / _cache.SOURCES[0]).unlink()
         assert load_corpus(path, en_spec, cache_dir=cache) == want
         assert coded.count == len(_cache.SOURCES) + 2 and len(cache_entries(cache)) == len(_cache.SOURCES) + 1
+
+    @staticmethod
+    def package_imports(path: Path) -> set[str]:
+        """The modules of the package that the source at path imports, at
+        any depth: "" for the package itself."""
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.partition(".")[2] for alias in node.names
+                             if alias.name.partition(".")[0] == "hapaxprior")
+            elif isinstance(node, ast.ImportFrom) and (node.level or node.module.partition(".")[0] == "hapaxprior"):
+                module = node.module or ""
+                module = module if node.level else module.partition(".")[2]
+                found.update([module] if module else [alias.name for alias in node.names])
+        return found
+
+    @pytest.mark.parametrize("source, imports", [
+        ("from . import _lines, corpus", {"_lines", "corpus"}), ("from .corpus import x", {"corpus"}),
+        ("def f():\n    from .spectrum import x", {"spectrum"}), ("import hapaxprior", {""}),
+        ("import hapaxprior.corpus as c", {"corpus"}), ("from hapaxprior import cli", {"cli"}),
+        ("from hapaxprior.corpus import x", {"corpus"}), ("import numpy, os.path\nfrom os import sep", set()),
+    ])
+    def test_package_imports_finds_every_import_of_the_package(self, tmp_path, source, imports):
+        (tmp_path / "m.py").write_text(source, encoding="utf-8")
+        assert self.package_imports(tmp_path / "m.py") == imports
+
+    def test_the_key_covers_every_module_that_decides_an_entry(self):
+        # the sources the key hashes import no other module of the package
+        # but _writer, which writes an entry's bytes and decides none of them
+        package = Path(_cache.__file__).parent
+        for name in _cache.SOURCES:
+            assert self.package_imports(package / name) <= {"_cache", "_lines", "_writer"}, name
 
     def test_a_cache_that_cannot_be_written_loads_normally(self, tmp_path, en_spec, coded, monkeypatch):
         path = self.write(tmp_path)
@@ -857,7 +907,7 @@ class TestCache:
     @pytest.mark.parametrize("rewrite", ["appended", "same size", "replaced", "replaced unseen"])
     def test_a_file_rewritten_during_the_load_writes_no_entry(self, tmp_path, en_spec, monkeypatch, rewrite):
         path, cache = self.write(tmp_path), tmp_path / "cache"
-        code = corpus_module._code
+        code = _cache._code
         text = CORPUS_TEXT.replace("werken", "wetten")
 
         def rewriting(*args):
@@ -879,7 +929,7 @@ class TestCache:
                 os.replace(fresh, path)
             return code(*args)
 
-        monkeypatch.setattr(corpus_module, "_code", rewriting)
+        monkeypatch.setattr(_cache, "_code", rewriting)
         load_corpus(path, en_spec, cache_dir=cache)
         assert cache_entries(cache) == []
         monkeypatch.undo()

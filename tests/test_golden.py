@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from hapaxprior import corpus
+from hapaxprior import _cache
 from hapaxprior.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -101,13 +101,13 @@ def test_output_matches_golden(name):
 
 def test_output_is_the_same_with_the_cache_off_cold_and_warm(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
-    code_file = corpus._code
+    code_file = _cache._code
 
     def counted(*args):
         coded.append(args[0].name)
         return code_file(*args)
 
-    monkeypatch.setattr(corpus, "_code", counted)
+    monkeypatch.setattr(_cache, "_code", counted)
     outputs = {}
     for run in ("off", "cold", "warm"):
         monkeypatch.setenv("HAPAXPRIOR_CACHE_DIR", "" if run == "off" else str(cache))

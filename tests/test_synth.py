@@ -33,6 +33,7 @@ class TestSpecValidation:
             dict(good, functions=("a",)),
             dict(good, functions=("a b", "c")),
             dict(good, functions=("a,b", "c")),
+            dict(good, functions=("a\udcff", "c")),  # the argument bytes a\xff, not UTF-8
             dict(good, seed=-1),
         ):
             with pytest.raises(ValueError):
