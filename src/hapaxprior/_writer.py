@@ -27,11 +27,15 @@ def _target(path: str | os.PathLike) -> str | int | None:
     the file a shell redirected to), which must be written, not replaced:
     for /proc/<this process>/fd/N, where /dev/stdout and /dev/fd/N lead,
     the result is the descriptor N, and for the rest of /proc None.  None
-    too for links in a loop, which only an open can report."""
+    too for links in a loop, and for a last part that is empty, "." or
+    "..", which only an open can report.  The path is not normalised as
+    text, so a ".." after a symlink goes up from the link's target."""
     own_fds = f"/proc/{os.getpid()}/fd"
-    target = os.path.abspath(path)
+    target = os.path.join(os.getcwd(), path)
     for _ in range(40):  # the links the kernel follows before ELOOP
         directory, name = os.path.split(target)
+        if name in ("", ".", ".."):
+            return None
         directory = os.path.realpath(directory)
         if directory == own_fds and name.isdecimal():
             return int(name)

@@ -230,8 +230,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- synth
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.out == "-":
-        raise UsageError("synth writes a corpus file plus a truth sidecar; --out must be a path")
+    if args.out == "-" or os.path.basename(args.out) in ("", ".", ".."):
+        # no file: the truth sidecar, <out>.truth.csv, would be written before the corpus write fails
+        raise UsageError(f"synth writes a corpus file plus a truth sidecar; --out must name a file, got {args.out!r}")
     truth_out = args.truth_out or f"{args.out}.truth.csv"
     seen: dict[Path, str] = {}
     for option, path in (("--out", args.out), ("--truth-out", truth_out), ("--spec-out", args.spec_out)):

@@ -356,6 +356,16 @@ class TestSynth:
             assert (code, out) == (1, "") and re.fullmatch(r"hapaxprior: [^\n]*UTF-8 text[^\n]*\n", err), err
         assert list(tmp_path.iterdir()) == []
 
+    def test_an_out_that_names_no_file_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # "" would write the sidecar .truth.csv, and "dir/" dir/.truth.csv, before the corpus write fails
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        for out in ("", "-", "sub/", ".", "..", f"{work}/.."):
+            code, stdout, err = run(capsys, "synth", "--n-types", "5", "--target-tokens", "20", "--out", out)
+            assert (code, stdout) == (1, "") and err.startswith("hapaxprior: synth writes") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["work"] and list(work.iterdir()) == []
+
     def test_truth_out_flag(self, tmp_path, capsys):
         truth = tmp_path / "custom_truth.csv"
         code, _, _ = run(
@@ -620,6 +630,38 @@ class TestOutFile:
         assert run(capsys, *argv, "--out", str(loop)) == (
             2, "", f"hapaxprior: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: '{loop}'\n")
         assert loop.is_symlink() and len(list(directory.iterdir())) == 5
+
+    def test_an_empty_out_fails_as_open_fails(self, tmp_path, capsys, monkeypatch):
+        argv, _ = self.spectrum(tmp_path, capsys)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert run(capsys, *argv, "--out", "") == (
+            2, "", f"hapaxprior: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before and list(work.iterdir()) == []
+
+    def test_a_trailing_slash_fails_as_open_fails(self, tmp_path, capsys):
+        argv, _ = self.spectrum(tmp_path, capsys)
+        directory = tmp_path / "out"
+        directory.mkdir()
+        existing = directory / "existing.csv"
+        existing.write_bytes(b"earlier output\n")
+        for target in (f"{existing}/", f"{directory}/fresh.csv/"):
+            assert run(capsys, *argv, "--out", target) == (
+                2, "", f"hapaxprior: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{target}'\n")
+        assert list(directory.iterdir()) == [existing] and existing.read_bytes() == b"earlier output\n"
+
+    def test_a_dot_dot_after_a_symlink_is_taken_from_the_links_target(self, tmp_path, capsys, monkeypatch):
+        argv, out = self.spectrum(tmp_path, capsys)
+        (tmp_path / "a" / "b").mkdir(parents=True)
+        (tmp_path / "link").symlink_to(Path("a", "b"))
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "link/../out.csv"]) == 0
+        assert (tmp_path / "a" / "out.csv").read_text() == out and not (tmp_path / "out.csv").exists()
+        assert run(capsys, *argv, "--out", "link/..") == (
+            2, "", f"hapaxprior: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'link/..'\n")
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["b", "out.csv"]
 
     def test_a_fifo_is_written_directly(self, tmp_path, capsys):
         argv, out = self.spectrum(tmp_path, capsys)

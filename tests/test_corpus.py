@@ -1,4 +1,4 @@
-"""Class-spec and corpus file handling, plus the seeded shuffle."""
+"""Class-spec and corpus file handling."""
 
 import ast
 import codecs
@@ -17,7 +17,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from hapaxprior import (
     ClassSpec,
@@ -30,7 +29,6 @@ from hapaxprior import (
     save_corpus,
 )
 from hapaxprior import _cache, _lines, corpus as corpus_module
-from hapaxprior.corpus import shuffled_order
 from hapaxprior.crossval import FoldPlan
 from hapaxprior.spectrum import SpectrumTable, TypeCount
 
@@ -960,33 +958,3 @@ class TestCache:
         monkeypatch.setattr(_cache, "LIMIT_BYTES", 1)
         load_corpus(paths[0], en_spec, cache_dir=cache)
         assert cache_entries(cache) == [entries[0]]
-
-
-class TestShuffle:
-    @given(n=st.integers(0, 200), seed=st.integers(0, 2**64 - 1))
-    def test_shuffled_order_is_a_permutation(self, n, seed):
-        assert sorted(shuffled_order(n, seed)) == list(range(n))
-
-    def test_shuffled_order_is_the_stdlib_shuffle_as_a_read_only_array(self):
-        # n = 0..3 and 2**j - 1, 2**j, 2**j + 1, where the bit length of the
-        # range drawn from changes; seeds of every size and sign
-        sizes = sorted({0, 1, 2, 3} | {2**j + d for j in range(1, 13) for d in (-1, 0, 1)})
-        seeds = [0, 1, 2, 7, 42, -1, -12345, 2**31 - 1, 2**32, 2**63 + 5, 2**64 - 1, 3**50]
-        pairs = [(n, seed) for n in sizes for seed in seeds]
-        pairs += [(n, seed) for n in (2**16 - 1, 2**16 + 1, 2**17 + 1) for seed in seeds[:2]]
-        # the benchmark's sizes with the CLI's crossval seed cross every block
-        # and bit-length boundary of the replay
-        pairs += [(2**20 + 1, 1), (1_000_000, 1)]
-        for n, seed in pairs:
-            want = list(range(n))
-            random.Random(seed).shuffle(want)
-            order = shuffled_order(n, seed)
-            assert isinstance(order, np.ndarray) and order.dtype == np.int64 and order.shape == (n,)
-            assert not order.flags.writeable
-            assert order.tolist() == want, (n, seed)
-        assert len(pairs) > 400
-
-    def test_shuffled_order_refuses_n_of_2_to_the_31(self):
-        # refused before anything is allocated; never replay near this size
-        with pytest.raises(ValueError, match="2147483648"):
-            shuffled_order(2**31, 0)

@@ -1,9 +1,10 @@
-"""Fold planning, per-fold bookkeeping, and the ratio t-tests."""
+"""The seeded shuffle, fold planning, per-fold bookkeeping, and the ratio t-tests."""
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hapaxprior import (
     CrossValError,
@@ -15,7 +16,7 @@ from hapaxprior import (
     run_fold,
 )
 from hapaxprior import crossval as crossval_module
-from hapaxprior.corpus import shuffled_order
+from hapaxprior.crossval import shuffled_order
 
 import oracles
 from conftest import corpus_of, random_pairs
@@ -262,6 +263,16 @@ class TestRunCrossval:
         assert exc_info.value.fold is None
         assert str(exc_info.value) == message
 
+    def test_a_negative_seed_is_refused(self, ab_spec):
+        # random.Random seeds with abs(seed): -5 would give seed 5's folds under another seed
+        corpus = corpus_of(ab_spec, [(f"w{i}", i % 2) for i in range(12)])
+        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+            make_folds(corpus, 2, -5)
+        with pytest.raises(CrossValError) as exc_info:
+            run_crossval(corpus, 2, -5)
+        assert exc_info.value.fold is None
+        assert str(exc_info.value) == "cannot split into folds: seed must be >= 0, got -5"
+
     def test_ratio_orientation_flips_t_direction(self, ab_spec):
         corpus = hapax_rich_corpus(ab_spec, random.Random(19), n=90)
         fwd = run_crossval(corpus, k=3, seed=1, ratio=("a", "b"))
@@ -408,3 +419,33 @@ class TestRunCrossvalMatchesOracle:
         wants, outcome = self.outcome(ab_spec, [("w", 0)] * 6 + [("x", 1)] * 6, 2, 0)
         assert outcome == "hapax-free"
         assert wants == [None, None]
+
+
+class TestShuffle:
+    @given(n=st.integers(0, 200), seed=st.integers(0, 2**64 - 1))
+    def test_shuffled_order_is_a_permutation(self, n, seed):
+        assert sorted(shuffled_order(n, seed)) == list(range(n))
+
+    def test_shuffled_order_is_the_stdlib_shuffle_as_a_read_only_array(self):
+        # n = 0..3 and 2**j - 1, 2**j, 2**j + 1, where the bit length of the
+        # range drawn from changes; seeds of every size and sign
+        sizes = sorted({0, 1, 2, 3} | {2**j + d for j in range(1, 13) for d in (-1, 0, 1)})
+        seeds = [0, 1, 2, 7, 42, -1, -12345, 2**31 - 1, 2**32, 2**63 + 5, 2**64 - 1, 3**50]
+        pairs = [(n, seed) for n in sizes for seed in seeds]
+        pairs += [(n, seed) for n in (2**16 - 1, 2**16 + 1, 2**17 + 1) for seed in seeds[:2]]
+        # the benchmark's sizes with the CLI's crossval seed cross every block
+        # and bit-length boundary of the replay
+        pairs += [(2**20 + 1, 1), (1_000_000, 1)]
+        for n, seed in pairs:
+            want = list(range(n))
+            random.Random(seed).shuffle(want)
+            order = shuffled_order(n, seed)
+            assert isinstance(order, np.ndarray) and order.dtype == np.int64 and order.shape == (n,)
+            assert not order.flags.writeable
+            assert order.tolist() == want, (n, seed)
+        assert len(pairs) > 400
+
+    def test_shuffled_order_refuses_n_of_2_to_the_31(self):
+        # refused before anything is allocated; never replay near this size
+        with pytest.raises(ValueError, match="2147483648"):
+            shuffled_order(2**31, 0)

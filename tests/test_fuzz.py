@@ -1,9 +1,13 @@
-"""Generated corpora through the command line: every run ends in exit 0 or
-one line and exit 2, the same with the corpus cache off, cold and warm,
+"""Generated corpora and command lines through the command line: every run
+ends in exit 0, or in exit 1 or 2 with one diagnosis and no file changed.
+A corpus gives the same result with the corpus cache off, cold and warm,
 and what spectrum counts is what the loader oracle counts."""
 
 import io
+import os
 import shutil
+import tempfile
+from pathlib import Path
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -104,3 +108,123 @@ def test_a_generated_corpus_gives_one_result_with_the_cache_off_cold_and_warm(wo
             assert code == 0 and out.decode().splitlines()[1:] == spectrum_lines(want), data
     if want and "error" in want:
         assert err == f"hapaxprior: {corpus}:{want['line']}: {want['error']}\n"
+
+
+# a corpus that every subcommand can cross-validate: two frequent types and
+# a hapax tail whose functions alternate
+ARGV_CORPUS = "".join(f"{form}\t{'V(inf)' if i % 2 else 'V(pl)'}\n"
+                      for i, form in enumerate(["lopen", "werken"] * 15 + [f"rare{i}en" for i in range(90)]))
+ODD = "\udcff"  # how Python holds the argument byte 0xff
+# each option's values: (valid ones, refused ones drawn now and then)
+CORPORA = (["corpus.tsv", f"c{ODD}.tsv"], ["absent.tsv", "class.spec"])
+SPECS = (["class.spec", f"s{ODD}.spec"], ["absent.spec", "corpus.tsv"])
+FORMS_FILES = (["forms.txt", f"f{ODD}.txt"], ["absent.txt"])
+FORM_VALUES = ["lopen", "rare3en", "Lopen", f"lop{ODD}en", "", "neverseen"]
+RATIOS = (["inf/pl", "pl/inf"], ["inf/inf", "inf", "x/pl", f"inf/p{ODD}"])
+# missing, existing, in a missing directory, empty, a trailing "/", ".." after a
+# symlink (link leads to a/b), and a name holding a non-UTF-8 byte; FIFOs are
+# tested on their own, since opening one without a reader blocks
+OUTS = ["fresh.csv", "existing.csv", "nodir/out.csv", "", "fresh.csv/", "existing.csv/",
+        "link/..", "link/../out.csv", f"o{ODD}.csv"]
+SIDECARS = (["t.csv", "", f"t{ODD}.csv"], ["existing.csv", "nodir/t.csv"])
+
+
+@st.composite
+def command_lines(draw) -> tuple[list[str], str | None, bool]:
+    """argv without --out, over every subcommand and flag, the --out value,
+    if any, and whether to give it as an absolute path."""
+    command = draw(st.sampled_from(["spectrum", "priors", "crossval", "report", "figure", "synth"]))
+    argv = [command]
+
+    def option(flag, values, required=False):
+        good, bad = values
+        if draw(st.integers(0, 9)) < (9 if required else 5):
+            argv.extend([flag, draw(st.sampled_from(bad if bad and draw(st.integers(0, 9)) == 9 else good))])
+
+    if command == "synth":
+        option("--n-types", (["5", "30"], ["0"]), required=True)
+        option("--target-tokens", (["60", "200"], ["3"]), required=True)
+        option("--zipf-exponent", (["1.0", "1.3"], ["-1"]))
+        option("--p-high", (["0.5", "0.9"], ["1.5"]))
+        option("--p-low", (["0.5", "0.2"], ["x"]))
+        option("--functions", (["a,b", "inf,pl"], [f"a{ODD},b", "a"]))
+        option("--truth-out", SIDECARS)
+        option("--spec-out", SIDECARS)
+    else:
+        option("--corpus", CORPORA, required=True)
+        option("--class-spec", SPECS, required=True)
+        argv += ["--fold-case"] * draw(st.booleans())
+    if command == "priors":
+        for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
+            argv += ["--form", draw(st.sampled_from(FORM_VALUES))]
+        option("--forms-file", FORMS_FILES)
+        option("--threshold", (["1", "3"], ["0", "x"]))
+    if command in ("crossval", "report"):
+        option("--k", (["2", "3", "5"], ["1", "500", "x"]))
+        option("--ratio", RATIOS)
+    if command == "figure":
+        option("--ratio", RATIOS)
+        option("--smooth-window", (["3", "5"], ["4", "1"]))
+    option("--seed", (["0", "1", "7"], ["-5", "x"]))
+    argv += ["--bogus"] * (draw(st.integers(0, 19)) == 19)
+    out = draw(st.sampled_from(OUTS)) if draw(st.integers(0, 3)) < 3 else None
+    return argv, out, draw(st.booleans())
+
+
+def snapshot(root) -> dict[str, object]:
+    """Every path under root with what it holds: a file's bytes, a link's
+    target, or None for a directory."""
+    tree = {}
+    for directory, names, files in os.walk(root):
+        for name in names + files:
+            path = os.path.join(directory, name)
+            tree[os.path.relpath(path, root)] = (os.readlink(path) if os.path.islink(path) else
+                                                 None if os.path.isdir(path) else Path(path).read_bytes())
+    return tree
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=command_lines(), cache=st.booleans())
+def test_a_generated_command_line_ends_in_one_result_and_a_failure_changes_no_file(workdir, case, cache):
+    argv, out, absolute = case
+    root = tempfile.mkdtemp(dir=workdir)  # the --out directory's parent
+    work = os.path.join(root, "work")
+    os.makedirs(os.path.join(work, "a", "b"))
+    os.symlink(os.path.join("a", "b"), os.path.join(work, "link"))
+    for name, text in (("corpus.tsv", ARGV_CORPUS), (f"c{ODD}.tsv", ARGV_CORPUS), ("class.spec", SPEC_TEXT),
+                       (f"s{ODD}.spec", SPEC_TEXT), ("forms.txt", "lopen\nrare5en\nnieuwen\n"),
+                       (f"f{ODD}.txt", "werken\n"), ("existing.csv", "earlier output\n")):
+        with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    if out is not None and absolute:
+        out = f"{work}/{out}"
+    before = snapshot(root)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(work)
+        mp.setenv("HAPAXPRIOR_CACHE_DIR", str(workdir / "cache") if cache else "")
+        code, stdout, err = run(argv + ([] if out is None else ["--out", out]))
+        assert code in (0, 1, 2), (argv, out, err)
+        assert "Traceback" not in err
+        after = snapshot(root)
+        assert not [path for path in after if path.endswith(".tmp")], (argv, out)
+        if code:
+            # one diagnosis, naming the file asked for, never a temporary one;
+            # argparse follows its line with the usage
+            assert err.startswith("hapaxprior: ") and err.count("hapaxprior: ") == 1, err
+            assert code == 1 or err.count("\n") == 1, err
+            assert stdout == "" and ".tmp" not in err, err
+            changed = {path for path in before.keys() | after.keys() if before.get(path) != after.get(path)}
+            if argv[0] == "synth" and code == 2:
+                # synth writes the truth sidecar, then --spec-out, then --out, each whole, and a
+                # failure stops there (see the README): only the sidecars may be new
+                synth_args = dict(zip(argv[1::2], argv[2::2]))
+                sidecars = {synth_args.get("--truth-out") or f"{out}.truth.csv", synth_args.get("--spec-out")}
+                changed -= {os.path.relpath(os.path.realpath(p), root) for p in sidecars if p}
+            assert not changed, (argv, out, err, changed)
+        elif out is not None and argv[0] != "synth":
+            assert stdout == ""
+            with open(out, "rb") as fh:
+                written = fh.read()
+            code, stdout, _ = run(argv)
+            assert code == 0 and written == stdout.encode("utf-8", "surrogateescape"), (argv, out)
+    shutil.rmtree(root)
