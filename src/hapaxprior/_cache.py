@@ -1,6 +1,6 @@
 """Corpus coding and the content-keyed cache of its results.
 
-coded() gives a corpus file's columns from the cache entry of its bytes
+coded() gives a corpus file's cells from the cache entry of its bytes
 under one set of coding options, or codes the file and stores them.  An
 entry is written whole or not at all (see _writer).  hashlib and json are
 imported only when a corpus is cached.
@@ -193,14 +193,14 @@ def _code(path: Path, fh: BinaryIO, job: tuple) -> tuple[np.ndarray, tuple[str, 
             if i:
                 cell_map, unindexed = _merge_forms(index, forms, n, i == len(parts) - 1)
                 cells = cell_map[cells]
-            else:  # the first part numbers its forms as the columns do
+            else:  # the first part numbers its forms as the result does
                 index, unindexed = forms, []
             kept.append(cells)
             dropped += int(np.count_nonzero(codes == _lines.DROPPED))
             done += len(codes)
     finally:
         _stop_helpers(helpers)
-    del codes, cells  # the last part's, before the columns take memory
+    del codes, cells  # the last part's, before the joined cells take memory
     return np.concatenate(kept), tuple(chain(index, unindexed)), dropped
 
 
@@ -242,12 +242,13 @@ def _entry_path(fh: BinaryIO, cache_dir: str | os.PathLike, options: tuple) -> s
     return os.path.join(cache_dir, digest.hexdigest() + SUFFIX)
 
 
-def _read(entry: str, n: int) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], int] | None:
+def _read(entry: str, n: int) -> tuple[np.ndarray, tuple[str, ...], int] | None:
     """coded()'s result from the entry at path entry, refreshing its mtime;
     None for a missing entry, one whose digest does not match (truncated or
     corrupt), one of another FORMAT, and one whose fields do not fit its
-    length, whose forms are not UTF-8 or whose cells do not number them in
-    first-occurrence order.  Which forms they are, its writer is trusted with."""
+    length, whose forms are not UTF-8 or whose cells' form ids (cells // n)
+    do not number them in first-occurrence order.  Which forms they are, its
+    writer is trusted with."""
     import hashlib
 
     try:
@@ -265,14 +266,12 @@ def _read(entry: str, n: int) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], 
         forms = tuple(joined.decode("utf-8").split("\n")) if joined else ()  # a form is never empty
     except UnicodeDecodeError:
         return None
-    form_ids = np.frombuffer(data, f"<u{itemsize}", n_cells, start).astype(np.int64)
-    functions = np.empty_like(form_ids)
-    np.divmod(form_ids, n, out=(form_ids, functions))  # the cells, divided in place
-    if not _numbers_in_order(form_ids, len(forms)):
+    cells = np.frombuffer(data, f"<u{itemsize}", n_cells, start).astype(np.int64)
+    if not _numbers_in_order(cells // n, len(forms)):
         return None
     with suppress(OSError):
         os.utime(entry)  # recently used: pruned last
-    return form_ids, functions, forms, dropped
+    return cells, forms, dropped
 
 
 def _store(entry: str, fh: BinaryIO, path: Path, signature: tuple[int, ...],
@@ -301,11 +300,12 @@ def _store(entry: str, fh: BinaryIO, path: Path, signature: tuple[int, ...],
 
 
 def coded(fh: BinaryIO, path: Path, job: tuple,
-          cache_dir: str | os.PathLike | None) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], int]:
-    """(form_ids, functions, forms, dropped) of the corpus file fh, opened at
-    path at its start, coded with job, the arguments of _lines.code_part
-    after end: new int64 columns, the forms in first-occurrence order and
-    the number of dropped lines.  With a cache_dir, a regular file's result
+          cache_dir: str | os.PathLike | None) -> tuple[np.ndarray, tuple[str, ...], int]:
+    """(cells, forms, dropped) of the corpus file fh, opened at path at its
+    start, coded with job, the arguments of _lines.code_part after end: the
+    form_id * n + function of each kept line as a new int64 array (the
+    cells of a TaggedCorpus), the forms in first-occurrence order and the
+    number of dropped lines.  With a cache_dir, a regular file's result
     is read from its entry there when that is sound (see _read), else coded
     and stored.  A bad line raises _lines.BadLine with its index in the
     file, bytes that are not UTF-8 _lines.BadBytes counting the bytes before
@@ -319,9 +319,7 @@ def coded(fh: BinaryIO, path: Path, job: tuple,
     cells, forms, dropped = _code(path, fh, job)
     if entry:
         _store(entry, fh, path, _signature(info), cells, forms, dropped)
-    functions = np.empty_like(cells)
-    np.divmod(cells, n, out=(cells, functions))  # in place: at 10M tokens each column takes 80 MB
-    return cells, functions, forms, dropped
+    return cells, forms, dropped
 
 
 def prune(directory: str, keep: str) -> None:

@@ -89,20 +89,21 @@ class TokenRecord:
 
 @dataclass(frozen=True, init=False, eq=False)
 class TaggedCorpus:
-    """Tokens of one ambiguity class, in input order, held as columns.
+    """Tokens of one ambiguity class, in input order, held as one column.
 
     forms lists the distinct surface forms in first-occurrence order; token
-    i has form forms[form_ids[i]] and function index functions[i] (both
-    read-only int64 arrays).  tokens is a read-only view of the same tokens
-    as TokenRecords, built on first access.  dropped counts input lines
+    i is the cell cells[i] = form_id * n + function (n = spec.n_functions)
+    of a read-only int64 array: its form is forms[form_ids[i]] and its
+    function index functions[i].  form_ids (cells // n) and functions
+    (cells % n) are read-only int64 views derived on first read, as is
+    tokens, the same tokens as TokenRecords.  dropped counts input lines
     excluded by the suffix filter or an unmapped tag, so len(corpus) +
     dropped equals the number of data lines read.
     """
 
     spec: ClassSpec
     forms: tuple[str, ...]
-    form_ids: np.ndarray
-    functions: np.ndarray
+    cells: np.ndarray
     dropped: int
 
     def __init__(self, spec: ClassSpec, tokens: Iterable[TokenRecord] = (), dropped: int = 0) -> None:
@@ -121,7 +122,7 @@ class TaggedCorpus:
         functions: Sequence[int] | np.ndarray,
         dropped: int = 0,
     ) -> TaggedCorpus:
-        """A corpus from interned columns, validated once per form and per array."""
+        """A corpus of the cells of interned columns, validated once per form and per array."""
         forms = tuple(forms)
         if isinstance(dropped, bool) or not isinstance(dropped, (int, np.integer)) or dropped < 0:
             raise ValueError(f"dropped must be a non-negative integer, not {dropped!r}")
@@ -143,32 +144,40 @@ class TaggedCorpus:
         if len(bad):
             i = bad[0]
             raise ValueError(f"token {forms[form_ids[i]]!r} has function index {functions[i]} outside 0..{n - 1}")
-        return cls._of_valid_columns(spec, forms, form_ids, functions, int(dropped))
+        return cls._of_valid_cells(spec, forms, form_ids * n + functions, int(dropped))
 
     @classmethod
-    def _of_valid_columns(
-        cls, spec: ClassSpec, forms: tuple[str, ...], form_ids: np.ndarray, functions: np.ndarray, dropped: int
-    ) -> TaggedCorpus:
-        """A corpus of columns that pass from_columns' checks, unchecked; it
-        takes the int64 arrays over and makes them read-only."""
+    def _of_valid_cells(cls, spec: ClassSpec, forms: tuple[str, ...], cells: np.ndarray, dropped: int) -> TaggedCorpus:
+        """A corpus of the cells of columns that pass from_columns' checks,
+        unchecked; it takes the int64 array over and makes it read-only."""
         corpus = cls.__new__(cls)
-        form_ids.flags.writeable = False
-        functions.flags.writeable = False
-        for name, value in (("spec", spec), ("forms", forms), ("form_ids", form_ids),
-                            ("functions", functions), ("dropped", dropped)):
+        cells.flags.writeable = False
+        for name, value in (("spec", spec), ("forms", forms), ("cells", cells), ("dropped", dropped)):
             object.__setattr__(corpus, name, value)
         return corpus
+
+    @cached_property
+    def form_ids(self) -> np.ndarray:
+        form_ids = self.cells // self.spec.n_functions
+        form_ids.flags.writeable = False
+        return form_ids
+
+    @cached_property
+    def functions(self) -> np.ndarray:
+        functions = self.cells % self.spec.n_functions
+        functions.flags.writeable = False
+        return functions
 
     @cached_property
     def tokens(self) -> tuple[TokenRecord, ...]:
         # one shared record per distinct (form, function) pair
         n = self.spec.n_functions
-        cells, inverse = np.unique(self.form_ids * n + self.functions, return_inverse=True)
-        records = [TokenRecord(self.forms[cell // n], cell % n) for cell in cells.tolist()]
+        distinct, inverse = np.unique(self.cells, return_inverse=True)
+        records = [TokenRecord(self.forms[cell // n], cell % n) for cell in distinct.tolist()]
         return tuple(map(records.__getitem__, inverse.tolist()))
 
     def __len__(self) -> int:
-        return len(self.form_ids)
+        return len(self.cells)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TaggedCorpus):
@@ -177,8 +186,7 @@ class TaggedCorpus:
             self.spec == other.spec
             and self.dropped == other.dropped
             and self.forms == other.forms
-            and np.array_equal(self.form_ids, other.form_ids)
-            and np.array_equal(self.functions, other.functions)
+            and np.array_equal(self.cells, other.cells)
         )
 
 
@@ -282,7 +290,7 @@ def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False, *,
     job = (_lines.BLOCK_BYTES, function_of, spec.n_functions, spec.suffix, fold_case)  # code_part's after end
     try:
         with open(path, "rb") as fh:
-            form_ids, functions, forms, dropped = _cache.coded(fh, path, job, cache_dir)
+            cells, forms, dropped = _cache.coded(fh, path, job, cache_dir)
     except _lines.BadLine as exc:
         at, reason = exc.args
         raise CorpusFormatError(f"{path}:{at + 1}: {reason}") from None
@@ -290,8 +298,8 @@ def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False, *,
         raise _unreadable("corpus", path, exc) from None
     except OSError as exc:
         raise CorpusFormatError(f"cannot read corpus {path}: {exc}") from exc
-    # the columns hold by construction what from_columns would check
-    return TaggedCorpus._of_valid_columns(spec, forms, form_ids, functions, dropped)
+    # the cells hold by construction what from_columns would check
+    return TaggedCorpus._of_valid_cells(spec, forms, cells, dropped)
 
 
 def save_corpus(corpus: TaggedCorpus, path: str | Path, header: str | None = None) -> None:
@@ -318,10 +326,8 @@ def save_corpus(corpus: TaggedCorpus, path: str | Path, header: str | None = Non
             raise ValueError(f"cannot save tag {tag!r}: a reload would not read it back")
     if header is not None and (len(header.splitlines()) > 1 or not _is_text(header)):
         raise ValueError(f"cannot save header {header!r}: a reload would not read it back")
-    lines = (
-        f"{forms[i]}\t{tags[function]}\n"
-        for i, function in zip(corpus.form_ids.tolist(), corpus.functions.tolist())
-    )
+    n = corpus.spec.n_functions
+    lines = (f"{forms[cell // n]}\t{tags[cell % n]}\n" for cell in corpus.cells.tolist())
     write_text(path, lines if header is None else chain([f"# {header}\n"], lines))
 
 

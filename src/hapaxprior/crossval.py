@@ -11,7 +11,7 @@ import numpy as np
 
 from .corpus import TaggedCorpus, int64_array
 from .estimators import ExpectedCounts, PriorEstimate, expected_unseen_counts, hapax_mle, overall_mle
-from .spectrum import SpectrumTable, _cell_table, _token_cells
+from .spectrum import SpectrumTable, _cell_table
 from .stats import TTestResult, paired_t
 
 
@@ -211,16 +211,16 @@ def _fold_scorer(corpus: TaggedCorpus) -> Callable[[int, np.ndarray], FoldResult
     """The fold computation shared by run_fold and run_crossval:
     score(fold, positions) scores the fold whose tokens are at positions.
 
-    The cell of every token and the whole-corpus form-by-function table are
-    computed once; a fold's training table is that table minus the counts
-    of its held-out tokens (deleted estimation), so no fold rebuilds a
-    spectrum, and it is non-negative by construction.
+    The whole-corpus form-by-function table is counted once from
+    corpus.cells; a fold's training table is that table minus the counts of
+    its held-out tokens' cells (deleted estimation), so no fold rebuilds a
+    spectrum, and it is non-negative by construction.  Both tables are
+    column-major, and so is their difference.
     """
-    cells = _token_cells(corpus)
-    full = _cell_table(corpus, cells)
+    full = _cell_table(corpus, corpus.cells)
 
     def score(fold: int, positions: np.ndarray) -> FoldResult:
-        held = _cell_table(corpus, cells[positions])
+        held = _cell_table(corpus, corpus.cells[positions])
         train = SpectrumTable._of_valid_counts(corpus.spec, corpus.forms, full - held)
         omle = overall_mle(train)
         hmle = hapax_mle(train)

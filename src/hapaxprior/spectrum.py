@@ -61,7 +61,7 @@ class SpectrumTable:
 
     @classmethod
     def from_counts(cls, spec: ClassSpec, forms: Sequence[str], counts: np.ndarray) -> SpectrumTable:
-        """A table of (a copy of) `counts`, with its token and hapax totals derived."""
+        """A table of (a copy of) `counts` of distinct forms, with its token and hapax totals derived."""
         forms = tuple(forms)
         return cls._of_valid_counts(spec, forms, _valid_counts(spec, forms, counts))
 
@@ -116,33 +116,29 @@ class ClassProportionPoint:
 
 
 def _valid_counts(spec: ClassSpec, forms: tuple[str, ...], counts) -> np.ndarray:
-    """An int64 copy of counts; ValueError unless it is a non-negative
-    len(forms) x spec.n_functions array of integers."""
+    """An int64 copy of counts; ValueError unless forms are distinct and it
+    is a non-negative len(forms) x spec.n_functions array of integers."""
+    if len(set(forms)) != len(forms):
+        raise ValueError("forms must be distinct")
     counts = int64_array(counts, "counts")
     if counts.shape != (len(forms), spec.n_functions) or (counts < 0).any():
         raise ValueError(f"counts must be a non-negative {len(forms)} x {spec.n_functions} array")
     return counts
 
 
-def _token_cells(corpus: TaggedCorpus) -> np.ndarray:
-    """The cell function * len(forms) + form_id of each token: its place in
-    a column-major form-by-function table, where each function's column is
-    contiguous, which keeps row and column sums fast."""
-    return corpus.functions * len(corpus.forms) + corpus.form_ids
-
-
 def _cell_table(corpus: TaggedCorpus, cells: np.ndarray) -> np.ndarray:
     """Tokens per form (rows, in corpus.forms order) and function (columns)
-    among the tokens whose _token_cells are `cells`, read-only."""
-    n, n_forms = corpus.spec.n_functions, len(corpus.forms)
-    counts = np.bincount(cells, minlength=n * n_forms).reshape(n, n_forms).T
-    counts.flags.writeable = False
-    return counts
+    among the tokens whose corpus.cells are `cells`, as a new int64 array.
+    The cells number a row-major table; it is copied to column-major order,
+    where each function's column is contiguous, which keeps row and column
+    sums fast."""
+    n = corpus.spec.n_functions
+    return np.asfortranarray(np.bincount(cells, minlength=len(corpus.forms) * n).reshape(len(corpus.forms), n))
 
 
 def build_spectrum(corpus: TaggedCorpus) -> SpectrumTable:
     """Aggregate a corpus into per-type counts and per-function totals."""
-    return SpectrumTable.from_counts(corpus.spec, corpus.forms, _cell_table(corpus, _token_cells(corpus)))
+    return SpectrumTable._of_valid_counts(corpus.spec, corpus.forms, _cell_table(corpus, corpus.cells))
 
 
 def hapaxes(table: SpectrumTable) -> list[TypeCount]:

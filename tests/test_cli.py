@@ -840,6 +840,32 @@ class TestColumnarPipeline:
         assert build_spectrum(load_corpus(corpus, load_class_spec(spec))).types
         assert built
 
+    def test_no_command_derives_the_form_id_or_function_views(self, tmp_path, capsys, monkeypatch):
+        spec = write_spec(tmp_path)
+        corpus = write_corpus(tmp_path, crossval_pairs())
+        loaded = []
+        original = cli.load_corpus
+
+        def load(*args, **kwargs):
+            loaded.append(original(*args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_corpus", load)
+        for argv in (
+            ["spectrum"],
+            ["priors", "--form", "hebben", "--form", "rare3en", "--form", "neverseen", "--threshold", "2"],
+            ["figure", "--smooth-window", "3"],
+            ["crossval", "--k", "5"],
+            ["report", "--k", "5"],
+        ):
+            code, _, err = run(capsys, *argv, "--corpus", corpus, "--class-spec", spec)
+            assert code == 0, (argv, err)
+        assert len(loaded) == 5
+        for got in loaded:
+            assert "form_ids" not in vars(got) and "functions" not in vars(got)
+        # the views are cached on first read, so a read would show
+        assert loaded[0].form_ids.tolist() and "form_ids" in vars(loaded[0])
+
 
 class TestNoScipy:
     def test_crossval_and_report_import_no_scipy(self, tmp_path):

@@ -690,6 +690,8 @@ class TestCache:
             assert uncached == miss == hit, repr(text)
             assert hit.form_ids.dtype == hit.functions.dtype == np.int64
             assert not hit.form_ids.flags.writeable and not hit.functions.flags.writeable
+            assert hit.cells.dtype == np.int64 and not hit.cells.flags.writeable
+            assert np.array_equal(hit.cells, hit.form_ids * en_spec.n_functions + hit.functions)
             cached.add((text, fold_case))
             assert len(cache_entries(cache)) == len(cached)
         assert 0 < errors < 80 and len(cached) > 30

@@ -251,6 +251,15 @@ class TestRunCrossval:
             assert list(report.folds) == want
         assert scored == want
 
+    def test_every_training_table_is_column_major(self, ab_spec, monkeypatch):
+        # a row-major table makes the folds' column sums several times slower
+        trained = []
+        mle = crossval_module.overall_mle
+        monkeypatch.setattr(crossval_module, "overall_mle", lambda table: trained.append(table) or mle(table))
+        corpus = hapax_rich_corpus(ab_spec, random.Random(7), n=60)
+        run_crossval(corpus, 5, 3)
+        assert len(trained) == 5 and all(table.counts.flags.f_contiguous for table in trained)
+
     @pytest.mark.parametrize("k, message", [
         (1, "cannot split into folds: k must be >= 2, got 1"),
         (0, "cannot split into folds: k must be >= 2, got 0"),

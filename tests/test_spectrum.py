@@ -92,6 +92,12 @@ class TestBuildSpectrum:
             assert counts.dtype == np.int64 and not counts.flags.writeable
             assert [list(row) for row in counts] == [oracles.count_form(pairs, f, 2) for f in corpus.forms]
 
+    def test_counts_are_column_major(self, ab_spec):
+        # each function's column is contiguous, which keeps the row and column sums fast
+        rng = random.Random(8)
+        for _ in range(10):
+            assert build_spectrum(corpus_of(ab_spec, random_pairs(rng))).counts.flags.f_contiguous
+
     def test_table_rejects_totals_of_wrong_arity(self, ab_spec):
         with pytest.raises(ValueError):
             SpectrumTable(spec=ab_spec, types={}, token_totals=(1,), hapax_totals=(0, 0))
@@ -132,6 +138,11 @@ class TestFromCounts:
         for forms, counts in ((("y",), [[1, 0, 0]]), (("y", "z"), [[1, 0]]), (("y",), [[2, -1]])):
             with pytest.raises(ValueError):
                 SpectrumTable.from_counts(ab_spec, forms, counts)
+
+    def test_rejects_repeated_forms(self, ab_spec):
+        # two "x" rows would count as two types, one of them a hapax, and rows would keep only the last
+        with pytest.raises(ValueError, match="^forms must be distinct$"):
+            SpectrumTable.from_counts(ab_spec, ["x", "x", "y"], [[1, 0], [0, 3], [0, 1]])
 
 
 def outcome(estimator, *args):
