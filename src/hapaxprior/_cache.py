@@ -24,16 +24,15 @@ import numpy as np
 from . import _lines
 from ._writer import writing
 
-# The number of the entry layout, held in each entry.  What an entry holds
-# for given bytes is decided by SOURCES, this module and _lines, whose sha256
-# is part of every key: an edited coder never reads what an older one wrote.
-FORMAT = 1
+# The sha256 of SOURCES is in every key and is every entry's only version:
+# an edit to the coder or to the entry layout re-keys, so an edited coder
+# never reads what an older one wrote.
 SOURCES = ("_lines.py", "_cache.py")
-# An entry is the sha256 of the rest of it, FIELDS (FORMAT, the cells'
-# itemsize, the number of cells, dropped), the cells, and the forms in
+# An entry is the sha256 of the rest of it, FIELDS (the cells' itemsize,
+# the number of cells, dropped), the cells, and the forms in
 # first-occurrence order, UTF-8, joined by "\n".
 DIGEST_BYTES = 32
-FIELDS = struct.Struct("<4Q")
+FIELDS = struct.Struct("<3Q")
 SUFFIX = ".cells"
 # After each write the least recently used entries are removed down to this many bytes.
 LIMIT_BYTES = 1 << 30
@@ -245,10 +244,10 @@ def _entry_path(fh: BinaryIO, cache_dir: str | os.PathLike, options: tuple) -> s
 def _read(entry: str, n: int) -> tuple[np.ndarray, tuple[str, ...], int] | None:
     """coded()'s result from the entry at path entry, refreshing its mtime;
     None for a missing entry, one whose digest does not match (truncated or
-    corrupt), one of another FORMAT, and one whose fields do not fit its
-    length, whose forms are not UTF-8 or whose cells' form ids (cells // n)
-    do not number them in first-occurrence order.  Which forms they are, its
-    writer is trusted with."""
+    corrupt), and one whose fields do not fit its length, whose forms are
+    not UTF-8 or whose cells' form ids (cells // n) do not number them in
+    first-occurrence order.  Which forms they are, its writer is trusted
+    with; its layout is the one this module writes, as the key says."""
     import hashlib
 
     try:
@@ -258,8 +257,8 @@ def _read(entry: str, n: int) -> tuple[np.ndarray, tuple[str, ...], int] | None:
     start = DIGEST_BYTES + FIELDS.size
     if len(data) < start or hashlib.sha256(memoryview(data)[DIGEST_BYTES:]).digest() != data[:DIGEST_BYTES]:
         return None
-    version, itemsize, n_cells, dropped = FIELDS.unpack_from(data, DIGEST_BYTES)
-    if version != FORMAT or itemsize not in (1, 2, 4, 8) or len(data) < start + itemsize * n_cells:
+    itemsize, n_cells, dropped = FIELDS.unpack_from(data, DIGEST_BYTES)
+    if itemsize not in (1, 2, 4, 8) or len(data) < start + itemsize * n_cells:
         return None
     joined = data[start + itemsize * n_cells:]
     try:
@@ -286,7 +285,7 @@ def _store(entry: str, fh: BinaryIO, path: Path, signature: tuple[int, ...],
             return
         packed = cells.astype(f"<u{np.min_scalar_type(cells.max(initial=0)).itemsize}")
         joined = "\n".join(forms).encode("utf-8")  # a form never holds a line break
-        fields = FIELDS.pack(FORMAT, packed.itemsize, len(packed), dropped)
+        fields = FIELDS.pack(packed.itemsize, len(packed), dropped)
         digest = hashlib.sha256(fields)
         digest.update(packed)
         digest.update(joined)

@@ -27,7 +27,7 @@ from .corpus import (
     save_class_spec,
     save_corpus,
 )
-from .crossval import CrossValError, FoldResult, run_crossval
+from .crossval import CrossValError, FoldResult, check_fold_args, run_crossval
 from .estimators import EstimationError, backoff_prior
 from .spectrum import build_spectrum, class_proportions, running_median
 from .stats import DegenerateTTestError
@@ -183,11 +183,10 @@ def _render_table(out: IO[str], functions: Sequence[str], runs: list[list[str]])
 def cmd_crossval(args: argparse.Namespace) -> int:
     """Serves both `crossval` (CSV) and `report` (text table): one
     computation, two renderers."""
-    if args.k < 2:
-        raise UsageError(f"--k must be >= 2, got {args.k}")
-    if args.seed < 0:
-        # random.Random seeds with abs(seed), so -5 would replay the folds of 5
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    try:
+        check_fold_args(args.k, args.seed)
+    except ValueError as exc:
+        raise UsageError(f"--{exc}") from None
     corpus = _load(args)
     ratio = _parse_ratio(corpus.spec, args.ratio)
     report = run_crossval(corpus, args.k, args.seed, ratio)

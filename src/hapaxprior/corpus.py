@@ -93,12 +93,11 @@ class TaggedCorpus:
 
     forms lists the distinct surface forms in first-occurrence order; token
     i is the cell cells[i] = form_id * n + function (n = spec.n_functions)
-    of a read-only int64 array: its form is forms[form_ids[i]] and its
-    function index functions[i].  form_ids (cells // n) and functions
-    (cells % n) are read-only int64 views derived on first read, as is
-    tokens, the same tokens as TokenRecords.  dropped counts input lines
-    excluded by the suffix filter or an unmapped tag, so len(corpus) +
-    dropped equals the number of data lines read.
+    of a read-only int64 array: its form index is cells[i] // n and its
+    function index cells[i] % n.  tokens, the same tokens as TokenRecords,
+    is derived on first read.  dropped counts input lines excluded by the
+    suffix filter or an unmapped tag, so len(corpus) + dropped equals the
+    number of data lines read.
     """
 
     spec: ClassSpec
@@ -155,18 +154,6 @@ class TaggedCorpus:
         for name, value in (("spec", spec), ("forms", forms), ("cells", cells), ("dropped", dropped)):
             object.__setattr__(corpus, name, value)
         return corpus
-
-    @cached_property
-    def form_ids(self) -> np.ndarray:
-        form_ids = self.cells // self.spec.n_functions
-        form_ids.flags.writeable = False
-        return form_ids
-
-    @cached_property
-    def functions(self) -> np.ndarray:
-        functions = self.cells % self.spec.n_functions
-        functions.flags.writeable = False
-        return functions
 
     @cached_property
     def tokens(self) -> tuple[TokenRecord, ...]:

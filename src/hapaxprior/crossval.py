@@ -179,17 +179,22 @@ def shuffled_order(n: int, seed: int) -> np.ndarray:
     return permutation
 
 
+def check_fold_args(k: int, seed: int) -> None:
+    """ValueError unless k >= 2 and seed >= 0, as every fold plan needs."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if seed < 0:  # random.Random seeds with abs(seed), so -5 would replay the folds of 5
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _folds(n: int, k: int, seed: int) -> tuple[np.ndarray, list[int]]:
     """(order, bounds), the folds of make_folds and run_crossval: fold f is
     order[bounds[f - 1]:bounds[f]] of order = shuffled_order(n, seed), k
     slices whose sizes differ by at most one, the remainder one each to the
     lowest folds.  ValueError for k < 2, k > n, seed < 0 or n >= 2**31."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    check_fold_args(k, seed)
     if k > n:
         raise ValueError(f"k = {k} exceeds the token count {n}")
-    if seed < 0:  # random.Random seeds with abs(seed), so -5 would replay the folds of 5
-        raise ValueError(f"seed must be >= 0, got {seed}")
     base, extra = divmod(n, k)
     return shuffled_order(n, seed), [fold * base + min(fold, extra) for fold in range(k + 1)]
 

@@ -40,8 +40,9 @@ class SpectrumTable:
     sums (type_totals) and the aggregate and hapax-only token totals.
 
     from_counts derives the totals; a table built from `types` (e.g. from
-    published totals) trusts the totals given.  types is a read-only view of
-    the forms with tokens as TypeCounts, built on first access.
+    published totals) trusts the totals given, and refuses a key that is not
+    its TypeCount's form.  types is a read-only view of the forms with
+    tokens as TypeCounts, built on first access.
     """
 
     spec: ClassSpec
@@ -56,6 +57,8 @@ class SpectrumTable:
         if any(len(t) != spec.n_functions for t in totals):
             raise ValueError("totals length must match the number of functions")
         forms = tuple(types)
+        if mislabelled := [form for form, tc in types.items() if tc.form != form]:
+            raise ValueError(f"types key {mislabelled[0]!r} is not its TypeCount's form")
         per_type = int64_array([tc.per_function for tc in types.values()], "per_function")
         self._set(spec, forms, _valid_counts(spec, forms, per_type.reshape(-1, spec.n_functions)), totals)
 

@@ -108,8 +108,8 @@ def _form_name(rank: int) -> str:
 def generate(spec: SynthSpec) -> tuple[TaggedCorpus, SynthTruth]:
     """Generate a corpus and its ground truth, deterministically in the seed.
 
-    Tokens are emitted in rank order; downstream consumers shuffle with
-    their own seed.
+    Tokens are emitted in rank order, as cells trusted like load_corpus's;
+    downstream consumers shuffle with their own seed.
     """
     counts = zipf_token_counts(spec.n_types, spec.zipf_exponent, spec.target_tokens)
     log_span = math.log(spec.n_types)
@@ -126,9 +126,9 @@ def generate(spec: SynthSpec) -> tuple[TaggedCorpus, SynthTruth]:
         suffix="",
         tag_map={label: label for label in spec.functions},
     )
-    corpus = TaggedCorpus.from_columns(
-        class_spec, forms, np.repeat(np.arange(spec.n_types), counts), np.where(is_ref, 0, 1)
-    )
+    n = class_spec.n_functions  # distinct forms, no suffix and a token per rank: from_columns' checks hold
+    cells = np.repeat(np.arange(0, n * spec.n_types, n, dtype=np.int64), counts) + np.where(is_ref, 0, 1)
+    corpus = TaggedCorpus._of_valid_cells(class_spec, forms, cells, 0)
     truth = SynthTruth(
         reference=spec.functions[0],
         probabilities=dict(zip(forms, p_ref)),

@@ -105,6 +105,15 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1 and "name the same file" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["class.spec", "corpus.tsv"]
 
+    def test_fold_rules_are_checked_before_the_load(self, tmp_path, capsys):
+        # a missing corpus would exit 2: the usage error comes first
+        spec, absent = write_spec(tmp_path), str(tmp_path / "absent.tsv")
+        for argv, message in (
+            (["crossval", "--k", "1"], "--k must be >= 2, got 1"),
+            (["report", "--seed", "-5"], "--seed must be >= 0, got -5"),
+        ):
+            assert run(capsys, *argv, "--corpus", absent, "--class-spec", spec) == (1, "", f"hapaxprior: {message}\n")
+
     def test_data_errors_exit_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path)
         bad = tmp_path / "bad.tsv"
@@ -839,32 +848,6 @@ class TestColumnarPipeline:
         # the patch is live: the types view does build TypeCounts
         assert build_spectrum(load_corpus(corpus, load_class_spec(spec))).types
         assert built
-
-    def test_no_command_derives_the_form_id_or_function_views(self, tmp_path, capsys, monkeypatch):
-        spec = write_spec(tmp_path)
-        corpus = write_corpus(tmp_path, crossval_pairs())
-        loaded = []
-        original = cli.load_corpus
-
-        def load(*args, **kwargs):
-            loaded.append(original(*args, **kwargs))
-            return loaded[-1]
-
-        monkeypatch.setattr(cli, "load_corpus", load)
-        for argv in (
-            ["spectrum"],
-            ["priors", "--form", "hebben", "--form", "rare3en", "--form", "neverseen", "--threshold", "2"],
-            ["figure", "--smooth-window", "3"],
-            ["crossval", "--k", "5"],
-            ["report", "--k", "5"],
-        ):
-            code, _, err = run(capsys, *argv, "--corpus", corpus, "--class-spec", spec)
-            assert code == 0, (argv, err)
-        assert len(loaded) == 5
-        for got in loaded:
-            assert "form_ids" not in vars(got) and "functions" not in vars(got)
-        # the views are cached on first read, so a read would show
-        assert loaded[0].form_ids.tolist() and "form_ids" in vars(loaded[0])
 
 
 class TestNoScipy:

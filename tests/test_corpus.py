@@ -250,8 +250,8 @@ class TestColumns:
         path.write_text("werken\tV(inf)\nlopen\tV(pl)\nhuis\tN\nwerken\tV(pl)\nlopen\tV(inf)\n")
         corpus = load_corpus(path, en_spec)
         assert corpus.forms == ("werken", "lopen")
-        assert corpus.form_ids.tolist() == [0, 1, 0, 1]
-        assert corpus.functions.tolist() == [0, 1, 1, 0]
+        assert (corpus.cells // 2).tolist() == [0, 1, 0, 1]
+        assert (corpus.cells % 2).tolist() == [0, 1, 1, 0]
         assert corpus.dropped == 1 and len(corpus) == 4
         assert corpus.tokens == corpus_of(en_spec, [("werken", 0), ("lopen", 1), ("werken", 1), ("lopen", 0)]).tokens
 
@@ -304,12 +304,12 @@ class TestColumns:
                     assert str(exc_info.value) == f"{path}:{want['line']}: {want['error']}", repr(text)
                     continue
                 corpus = load_corpus(path, en_spec, fold_case=fold_case)
-                got = {"forms": list(corpus.forms), "form_ids": corpus.form_ids.tolist(),
-                       "functions": corpus.functions.tolist(), "dropped": corpus.dropped}
+                got = {"forms": list(corpus.forms), "form_ids": (corpus.cells // 2).tolist(),
+                       "functions": (corpus.cells % 2).tolist(), "dropped": corpus.dropped}
                 assert got == want, (block_bytes, repr(text))
                 # the loader skips from_columns' checks; its columns pass them
                 assert corpus == TaggedCorpus.from_columns(
-                    en_spec, corpus.forms, corpus.form_ids, corpus.functions, corpus.dropped)
+                    en_spec, corpus.forms, corpus.cells // 2, corpus.cells % 2, corpus.dropped)
         return errors
 
     def test_load_matches_a_line_by_line_oracle(self, tmp_path, en_spec, monkeypatch):
@@ -321,7 +321,7 @@ class TestColumns:
         assert corpus.tokens == (TokenRecord("x", 1), TokenRecord("y", 0), TokenRecord("x", 0))
         assert corpus == TaggedCorpus(ab_spec, corpus.tokens, dropped=2)
         with pytest.raises(ValueError):
-            corpus.form_ids[0] = 1
+            corpus.cells[0] = 1
 
     @pytest.mark.parametrize("forms, form_ids, functions", [
         (("x", "y"), [1, 0], [0, 0]),      # not in first-occurrence order
@@ -497,7 +497,7 @@ class TestSplitLoad:
         corpus = load_corpus(path, en_spec)
         assert [p.returncode for p in split.started] == [0, 0] and split.merged == 2
         assert corpus == serial_load(monkeypatch, path, en_spec)
-        assert corpus.functions[-1] == 1 and corpus.dropped == 80
+        assert corpus.cells[-1] % 2 == 1 and corpus.dropped == 80
 
     @pytest.mark.parametrize("bad_parts", [(1, 2), (2,), (0, 1, 2)])
     def test_the_first_bad_line_wins(self, tmp_path, en_spec, monkeypatch, split, bad_parts):
@@ -688,10 +688,7 @@ class TestCache:
             miss = load_corpus(path, en_spec, fold_case=fold_case, cache_dir=cache)
             hit = self.check_hit(path, en_spec, cache, coded, fold_case=fold_case)
             assert uncached == miss == hit, repr(text)
-            assert hit.form_ids.dtype == hit.functions.dtype == np.int64
-            assert not hit.form_ids.flags.writeable and not hit.functions.flags.writeable
             assert hit.cells.dtype == np.int64 and not hit.cells.flags.writeable
-            assert np.array_equal(hit.cells, hit.form_ids * en_spec.n_functions + hit.functions)
             cached.add((text, fold_case))
             assert len(cache_entries(cache)) == len(cached)
         assert 0 < errors < 80 and len(cached) > 30
@@ -706,8 +703,7 @@ class TestCache:
         want = load_corpus(path, en_spec)
         assert load_corpus(path, en_spec, cache_dir=cache) == want
         [entry] = cache_entries(cache)
-        assert _cache.FIELDS.unpack_from(entry.read_bytes(), _cache.DIGEST_BYTES) == (
-            _cache.FORMAT, itemsize, n_forms, 1)
+        assert _cache.FIELDS.unpack_from(entry.read_bytes(), _cache.DIGEST_BYTES) == (itemsize, n_forms, 1)
         assert self.check_hit(path, en_spec, cache, coded) == want
 
     def test_a_hit_starts_no_helper(self, tmp_path, en_spec, split):
@@ -743,14 +739,14 @@ class TestCache:
         renamed = ClassSpec("renamed", en_spec.functions, en_spec.suffix, dict(en_spec.tag_map))
         hit = self.check_hit(path, renamed, cache, coded)
         assert hit.spec is renamed and hit == TaggedCorpus.from_columns(
-            renamed, first.forms, first.form_ids, first.functions, first.dropped)
+            renamed, first.forms, first.cells // 2, first.cells % 2, first.dropped)
 
     @staticmethod
     def redigested(entry: bytes, forms=None, **fields) -> bytes:
         """entry with other FIELDS values, or its forms changed by forms(list),
         and the digest that matches them."""
         start = _cache.DIGEST_BYTES + _cache.FIELDS.size
-        names = ("version", "itemsize", "cells", "dropped")
+        names = ("itemsize", "cells", "dropped")
         values = dict(zip(names, _cache.FIELDS.unpack_from(entry, _cache.DIGEST_BYTES)), **fields)
         payload = entry[start:]
         if forms:
@@ -769,18 +765,17 @@ class TestCache:
         lambda entry: b"",
         lambda entry: entry + b"\0",
         lambda entry: TestCache.flipped(entry, 0),
+        lambda entry: TestCache.flipped(entry, 40),
         lambda entry: TestCache.flipped(entry, 48),
         lambda entry: TestCache.flipped(entry, 56),
-        lambda entry: TestCache.flipped(entry, 64),
         lambda entry: TestCache.flipped(entry, len(entry) - 3),
-        lambda entry: TestCache.redigested(entry, version=_cache.FORMAT + 1),
         lambda entry: TestCache.redigested(entry, itemsize=3),
         lambda entry: TestCache.redigested(entry, cells=10**6),
         lambda entry: TestCache.redigested(entry, forms=lambda forms: [*forms[:-1], b"\xff" + forms[-1]]),
         lambda entry: TestCache.redigested(entry, forms=lambda forms: forms[:-1]),
         lambda entry: TestCache.redigested(entry, forms=lambda forms: [*forms, b"eten"]),
     ], ids=["truncated", "short", "empty", "longer", "digest bit", "cell count bit", "dropped bit", "cell bit",
-            "form bit", "version", "itemsize 3", "cells past the end", "a form not UTF-8", "a form short",
+            "form bit", "itemsize 3", "cells past the end", "a form not UTF-8", "a form short",
             "a form unused"])
     def test_a_bad_entry_misses_and_is_rewritten(self, tmp_path, en_spec, coded, damage):
         path, cache = self.write(tmp_path), tmp_path / "cache"

@@ -184,6 +184,10 @@ class TestHandBuiltTable:
         assert backoff_prior(hand, "y").source == "backoff-form"
         assert [tc.form for tc in hapaxes(hand)] == ["y"]
 
+    def test_a_key_must_be_its_type_counts_form(self, ab_spec):
+        with pytest.raises(ValueError, match="^types key 'x' is not its TypeCount's form$"):
+            SpectrumTable(ab_spec, {"x": TypeCount("y", (1, 0))}, (1, 0), (1, 0))
+
 
 class TestClassProportions:
     def test_toy_curve(self, ab_spec):

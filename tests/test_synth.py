@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hapaxprior import (
     SynthSpec,
     SynthTruth,
+    TaggedCorpus,
     build_spectrum,
     generate,
     hapax_mle,
@@ -83,6 +85,18 @@ class TestGenerate:
         table = build_spectrum(corpus)
         assert len(table.types) == 40
         assert {tc.form: tc.total for tc in table.types.values()} == dict(truth.token_counts)
+
+    @pytest.mark.parametrize("n_types, exponent, target_tokens, seed", [
+        (20000, 1.1, 50_000, 7),  # the README demo
+        (2000, 1.1, 50_000, 0),   # acceptance criterion 4
+        (1500, 1.0, 4000, 3),     # rounding starves 435 ranks
+    ])
+    def test_cells_pass_the_checks_they_skip(self, n_types, exponent, target_tokens, seed):
+        corpus, _ = generate(SynthSpec(n_types=n_types, zipf_exponent=exponent, target_tokens=target_tokens,
+                                       p_high=0.3, p_low=0.9, seed=seed))
+        assert corpus.cells.dtype == np.int64 and not corpus.cells.flags.writeable
+        n = corpus.spec.n_functions
+        assert corpus == TaggedCorpus.from_columns(corpus.spec, corpus.forms, corpus.cells // n, corpus.cells % n)
 
     def test_deterministic_in_seed(self):
         spec = SynthSpec(n_types=30, zipf_exponent=1.0, target_tokens=200,
