@@ -1,9 +1,11 @@
-"""Corpus coding and the content-keyed cache of its results.
+"""Corpus coding and the content-keyed cache of its results and of fold orders.
 
 coded() gives a corpus file's cells from the cache entry of its bytes
-under one set of coding options, or codes the file and stores them.  An
-entry is written whole or not at all (see _writer).  hashlib and json are
-imported only when a corpus is cached.
+under one set of coding options, or codes the file and stores them.
+ordered() gives the fold order of n tokens under a seed from its entry,
+or replays it and stores it.  An entry is written whole or not at all
+(see _writer).  hashlib and json are imported only when something is
+cached.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from contextlib import suppress
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import BinaryIO, Collection
+from typing import BinaryIO, Callable, Collection, Iterable
 
 import numpy as np
 
@@ -34,6 +36,12 @@ SOURCES = ("_lines.py", "_cache.py")
 DIGEST_BYTES = 32
 FIELDS = struct.Struct("<3Q")
 SUFFIX = ".cells"
+# A fold order's key also hashes ORDER_SOURCE, the module that replays the
+# shuffle; it is read by path, never imported.  An order entry is the
+# sha256 of the rest of it and the order, one little-endian int32
+# position per token.
+ORDER_SOURCE = "crossval.py"
+ORDER_SUFFIX = ".order"
 # After each write the least recently used entries are removed down to this many bytes.
 LIMIT_BYTES = 1 << 30
 HASH_BLOCK = 1 << 20
@@ -209,12 +217,12 @@ def _signature(info: os.stat_result) -> tuple[int, ...]:
 
 
 @functools.cache
-def _source_digest() -> str:
-    """The sha256 of the source of SOURCES, in hex."""
+def _source_digest(names: tuple[str, ...] = SOURCES) -> str:
+    """The sha256 of the source of the modules in names, in hex."""
     import hashlib
 
     digest = hashlib.sha256()
-    for name in SOURCES:
+    for name in names:
         digest.update(Path(__file__).with_name(name).read_bytes())
     return digest.hexdigest()
 
@@ -289,13 +297,19 @@ def _store(entry: str, fh: BinaryIO, path: Path, signature: tuple[int, ...],
         digest = hashlib.sha256(fields)
         digest.update(packed)
         digest.update(joined)
-        directory = os.path.dirname(entry)
-        os.makedirs(directory, exist_ok=True)
-        with writing(entry) as out:
-            out.writelines((digest.digest(), fields, packed, joined))
-        prune(directory, os.path.basename(entry))
+        _write(entry, (digest.digest(), fields, packed, joined))
     except OSError:
         pass
+
+
+def _write(entry: str, chunks: Iterable) -> None:
+    """Write the entry at path entry whole from chunks, creating its
+    directory, then prune that directory."""
+    directory = os.path.dirname(entry)
+    os.makedirs(directory, exist_ok=True)
+    with writing(entry) as out:
+        out.writelines(chunks)
+    prune(directory, os.path.basename(entry))
 
 
 def coded(fh: BinaryIO, path: Path, job: tuple,
@@ -321,14 +335,68 @@ def coded(fh: BinaryIO, path: Path, job: tuple,
     return cells, forms, dropped
 
 
+def _order_path(cache_dir: str | os.PathLike, n: int, seed: int) -> str | None:
+    """The path in cache_dir of the entry of the fold order of n tokens
+    under seed: the sha256 of a JSON text of "order", n, seed, SOURCES'
+    digest and ORDER_SOURCE's; None when they cannot be read."""
+    try:
+        sources = _source_digest(), _source_digest((ORDER_SOURCE,))
+    except OSError:  # an install without its source: nothing to key by
+        return None
+    import hashlib
+    import json
+
+    name = hashlib.sha256(json.dumps(["order", n, seed, *sources]).encode()).hexdigest()
+    return os.path.join(cache_dir, name + ORDER_SUFFIX)
+
+
+def _read_order(entry: str, n: int) -> np.ndarray | None:
+    """The order held by the entry at path entry, as a read-only int32
+    array, refreshing its mtime; None for a missing entry and one whose
+    length is not that of n positions or whose digest does not match."""
+    import hashlib
+
+    try:
+        data = Path(entry).read_bytes()
+    except OSError:
+        return None
+    if (len(data) != DIGEST_BYTES + 4 * n
+            or hashlib.sha256(memoryview(data)[DIGEST_BYTES:]).digest() != data[:DIGEST_BYTES]):
+        return None
+    with suppress(OSError):
+        os.utime(entry)  # recently used: pruned last
+    return np.frombuffer(data, "<i4", n, DIGEST_BYTES)
+
+
+def ordered(n: int, seed: int, cache_dir: str | os.PathLike | None,
+            replay: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """The fold order of n tokens under seed, replay(n, seed), a read-only
+    array of positions.  With a cache_dir and n >= 2 it is read from its
+    entry there when that is sound (see _read_order), else replayed and
+    stored; a write that fails is skipped.  The key holds no corpus bytes
+    and no fold count: every corpus of n tokens shares the order."""
+    entry = cache_dir is not None and n >= 2 and _order_path(cache_dir, n, seed)
+    if entry and (hit := _read_order(entry, n)) is not None:
+        return hit
+    order = replay(n, seed)
+    if entry:
+        import hashlib
+
+        packed = order.astype("<i4")
+        with suppress(OSError):
+            _write(entry, (hashlib.sha256(packed).digest(), packed))
+    return order
+
+
 def prune(directory: str, keep: str) -> None:
-    """Remove the least recently modified entries of directory until the
-    entries take at most LIMIT_BYTES, never the entry named keep."""
+    """Remove the least recently modified entries of directory, of corpora
+    and of fold orders alike, until they take at most LIMIT_BYTES, never the
+    entry named keep."""
     entries = []
     total = 0
     with os.scandir(directory) as scan:
         for entry in scan:
-            if entry.name.endswith(SUFFIX):
+            if entry.name.endswith((SUFFIX, ORDER_SUFFIX)):
                 with suppress(OSError):  # removed meanwhile
                     info = entry.stat(follow_symlinks=False)
                     total += info.st_size

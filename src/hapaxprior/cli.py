@@ -67,8 +67,8 @@ def _parse_ratio(spec: ClassSpec, ratio: str | None) -> tuple[str, str]:
 
 
 def _cache_dir() -> str | None:
-    """Where coded corpora are cached: $HAPAXPRIOR_CACHE_DIR when it is set
-    (empty: nowhere), else $XDG_CACHE_HOME/hapaxprior, else
+    """Where coded corpora and fold orders are cached: $HAPAXPRIOR_CACHE_DIR
+    when it is set (empty: nowhere), else $XDG_CACHE_HOME/hapaxprior, else
     ~/.cache/hapaxprior; nowhere when there is no home directory."""
     directory = os.environ.get("HAPAXPRIOR_CACHE_DIR")
     if directory is not None:
@@ -189,7 +189,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         raise UsageError(f"--{exc}") from None
     corpus = _load(args)
     ratio = _parse_ratio(corpus.spec, args.ratio)
-    report = run_crossval(corpus, args.k, args.seed, ratio)
+    report = run_crossval(corpus, args.k, args.seed, ratio, cache_dir=_cache_dir())
     num = corpus.spec.function_index(ratio[0])
     runs = [_fold_cells(fr, num) for fr in report.folds]
     render = _render_csv if args.command == "crossval" else _render_table
@@ -268,7 +268,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hapaxprior", description=__doc__.splitlines()[0],
-                     epilog="Corpus cache: $HAPAXPRIOR_CACHE_DIR (default ~/.cache/hapaxprior; empty: off)")
+                     epilog="Cache of coded corpora and fold orders: $HAPAXPRIOR_CACHE_DIR"
+                            " (default $XDG_CACHE_HOME/hapaxprior, else ~/.cache/hapaxprior; empty: off)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name: str, handler, help_: str, corpus: bool = True) -> argparse.ArgumentParser:

@@ -3,12 +3,14 @@ estimators on the tokens of held-out types unseen in training."""
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from . import _cache
 from .corpus import TaggedCorpus, int64_array
 from .estimators import ExpectedCounts, PriorEstimate, expected_unseen_counts, hapax_mle, overall_mle
 from .spectrum import SpectrumTable, _cell_table
@@ -187,16 +189,19 @@ def check_fold_args(k: int, seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-def _folds(n: int, k: int, seed: int) -> tuple[np.ndarray, list[int]]:
+def _folds(n: int, k: int, seed: int, cache_dir: str | os.PathLike | None = None) -> tuple[np.ndarray, list[int]]:
     """(order, bounds), the folds of make_folds and run_crossval: fold f is
     order[bounds[f - 1]:bounds[f]] of order = shuffled_order(n, seed), k
     slices whose sizes differ by at most one, the remainder one each to the
-    lowest folds.  ValueError for k < 2, k > n, seed < 0 or n >= 2**31."""
+    lowest folds.  With a cache_dir the order is read from its entry there,
+    or replayed and stored (see _cache.ordered).  ValueError for k < 2,
+    k > n, seed < 0 or n >= 2**31."""
     check_fold_args(k, seed)
     if k > n:
         raise ValueError(f"k = {k} exceeds the token count {n}")
     base, extra = divmod(n, k)
-    return shuffled_order(n, seed), [fold * base + min(fold, extra) for fold in range(k + 1)]
+    bounds = [fold * base + min(fold, extra) for fold in range(k + 1)]
+    return _cache.ordered(n, seed, cache_dir, shuffled_order), bounds
 
 
 def make_folds(corpus: TaggedCorpus, k: int, seed: int) -> FoldPlan:
@@ -267,6 +272,8 @@ def run_crossval(
     k: int,
     seed: int,
     ratio: tuple[str, str] | None = None,
+    *,
+    cache_dir: str | os.PathLike | None = None,
 ) -> CrossValReport:
     """Run all k folds and the paired ratio t-tests for both estimators.
 
@@ -275,7 +282,9 @@ def run_crossval(
     raises CrossValError naming the fold; zero ratio denominators raise one
     that lists every such fold with its counts and names the first.  A k the
     corpus cannot be split into raises CrossValError with fold None; equal
-    ratio labels raise ValueError.
+    ratio labels raise ValueError.  With a cache_dir, the fold order is read
+    from its entry there, or replayed and stored, as load_corpus's
+    cache_dir does for the corpus; the report is the same either way.
     """
     spec = corpus.spec
     if ratio is None:
@@ -287,7 +296,7 @@ def run_crossval(
 
     # the folds of make_folds(corpus, k, seed), as slices of the shuffle
     try:
-        order, bounds = _folds(len(corpus), k, seed)
+        order, bounds = _folds(len(corpus), k, seed, cache_dir)
     except ValueError as exc:
         raise CrossValError(None, f"cannot split into folds: {exc}") from exc
     score = _fold_scorer(corpus)

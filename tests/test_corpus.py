@@ -28,8 +28,8 @@ from hapaxprior import (
     save_class_spec,
     save_corpus,
 )
-from hapaxprior import _cache, _lines, corpus as corpus_module
-from hapaxprior.crossval import FoldPlan
+from hapaxprior import _cache, _lines, cli, corpus as corpus_module, crossval as crossval_module
+from hapaxprior.crossval import CrossValError, FoldPlan, run_crossval
 from hapaxprior.spectrum import SpectrumTable, TypeCount
 
 import oracles
@@ -955,3 +955,252 @@ class TestCache:
         monkeypatch.setattr(_cache, "LIMIT_BYTES", 1)
         load_corpus(paths[0], en_spec, cache_dir=cache)
         assert cache_entries(cache) == [entries[0]]
+
+
+def order_entries(cache):
+    return sorted(cache.glob("*" + _cache.ORDER_SUFFIX)) if cache.exists() else []
+
+
+@pytest.fixture
+def replayed(monkeypatch):
+    """Count the fold orders crossval replays; set replayed.forbid to make
+    a replay fail, so the order must come from the cache."""
+    replay = crossval_module.shuffled_order
+    record = SimpleNamespace(count=0, forbid=False)
+
+    def counted(n, seed):
+        assert not record.forbid, "replayed an order that the cache holds"
+        record.count += 1
+        return replay(n, seed)
+
+    monkeypatch.setattr(crossval_module, "shuffled_order", counted)
+    return record
+
+
+def hapax_tail_corpus(spec, rng, n):
+    """n tokens: a few frequent forms and a tail of mostly single tokens,
+    so that most folds see unseen tokens of both functions."""
+    pairs = [(rng.choice(["hebben", "kunnen", "lopen"]), rng.randrange(2)) for _ in range(n // 4)]
+    pairs += [(f"rare{rng.randrange(2 * n)}", rng.randrange(2)) for _ in range(n - len(pairs))]
+    rng.shuffle(pairs)
+    return corpus_of(spec, pairs)
+
+
+def crossval_outcome(*args, **options):
+    """run_crossval's report, or the type and text of its error."""
+    try:
+        return run_crossval(*args, **options)
+    except (CrossValError, ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+class TestOrderCache:
+    def check_hit(self, replayed, *args, call=crossval_outcome, **options):
+        """call's result (by default run_crossval's outcome), failing if it
+        replays the order."""
+        replayed.forbid = True
+        try:
+            return call(*args, **options)
+        finally:
+            replayed.forbid = False
+
+    def test_a_hit_equals_the_miss_and_an_uncached_report(self, tmp_path, ab_spec, replayed):
+        cache = tmp_path / "cache"
+        rng = random.Random(5)
+        keys, reports = set(), 0
+        for _ in range(60):
+            n = rng.randint(2, 120)
+            corpus = hapax_tail_corpus(ab_spec, rng, n)
+            k, seed = rng.choice([2, rng.randint(2, n), n]), rng.randrange(1000)
+            uncached = crossval_outcome(corpus, k, seed)
+            before = replayed.count
+            miss = crossval_outcome(corpus, k, seed, cache_dir=cache)
+            assert replayed.count == before + ((n, seed) not in keys)
+            hit = self.check_hit(replayed, corpus, k, seed, cache_dir=cache)
+            assert uncached == miss == hit, (n, k, seed)
+            keys.add((n, seed))
+            reports += not isinstance(hit, tuple)
+            assert len(order_entries(cache)) == len(keys)
+        assert reports > 20 and len(keys) > 50
+        # an entry's order is the replay's, read back as int32
+        order = self.check_hit(replayed, n, seed, cache, crossval_module.shuffled_order, call=_cache.ordered)
+        assert order.dtype == np.int32 and not order.flags.writeable
+        assert np.array_equal(order, crossval_module.shuffled_order(n, seed))
+
+    def test_crossval_and_report_share_one_entry(self, tmp_path, ab_spec, replayed, monkeypatch):
+        spec, cache = tmp_path / "class.spec", tmp_path / "cache"
+        save_class_spec(ab_spec, spec)
+        monkeypatch.setenv("HAPAXPRIOR_CACHE_DIR", str(cache))
+        rng = random.Random(8)
+        outputs = {}
+        for name in ("first", "second"):  # two corpora of 200 tokens
+            path = tmp_path / f"{name}.tsv"
+            save_corpus(hapax_tail_corpus(ab_spec, rng, 200), path)
+            for command in ("crossval", "report"):
+                out = tmp_path / f"{name}.{command}"
+                argv = [command, "--corpus", str(path), "--class-spec", str(spec), "--k", "5", "--seed", "3"]
+                assert cli.main([*argv, "--out", str(out)]) == 0
+                outputs[name, command] = out.read_bytes()
+                [entry] = order_entries(cache)
+                assert replayed.count == 1, (name, command)
+                replayed.forbid = True
+        assert len(cache_entries(cache)) == 2
+        # the cache off: every run replays, and what it prints is the same
+        replayed.forbid = False
+        monkeypatch.setenv("HAPAXPRIOR_CACHE_DIR", "")
+        for (name, command), want in outputs.items():
+            out = tmp_path / "off"
+            assert cli.main([command, "--corpus", str(tmp_path / f"{name}.tsv"), "--class-spec", str(spec),
+                             "--k", "5", "--seed", "3", "--out", str(out)]) == 0
+            assert out.read_bytes() == want, (name, command)
+        assert replayed.count == 5 and order_entries(cache) == [entry]
+
+    def test_another_seed_or_token_count_adds_an_entry(self, tmp_path, ab_spec, replayed):
+        cache = tmp_path / "cache"
+        rng = random.Random(2)
+        corpora = {n: hapax_tail_corpus(ab_spec, rng, n) for n in (60, 61)}
+        keys = [(60, 1), (60, 2), (61, 1), (61, 2)]
+        for i, (n, seed) in enumerate(keys, 1):
+            want = crossval_outcome(corpora[n], 3, seed)
+            assert crossval_outcome(corpora[n], 3, seed, cache_dir=cache) == want
+            assert len(order_entries(cache)) == i and replayed.count == 2 * i
+        for k in (2, 4, 60):  # any k slices the same order
+            for n, seed in keys[:2]:
+                assert self.check_hit(replayed, corpora[n], k, seed, cache_dir=cache) == crossval_outcome(
+                    corpora[n], k, seed)
+        # fewer than two tokens have one order, and no entry
+        for n in (0, 1):
+            assert _cache.ordered(n, 1, cache, crossval_module.shuffled_order).tolist() == list(range(n))
+        assert len(order_entries(cache)) == len(keys)
+
+    def test_an_edit_to_the_replay_misses(self, tmp_path, ab_spec, replayed, monkeypatch):
+        cache = tmp_path / "cache"
+        corpus = hapax_tail_corpus(ab_spec, random.Random(4), 80)
+        want = crossval_outcome(corpus, 4, 7, cache_dir=cache)
+        source = tmp_path / "source"
+        source.mkdir()
+        for module in Path(_cache.__file__).parent.glob("*.py"):
+            (source / module.name).write_bytes(module.read_bytes())
+        monkeypatch.setattr(_cache, "__file__", str(source / "_cache.py"))
+        monkeypatch.setattr(_cache, "_source_digest", _cache._source_digest.__wrapped__)
+        assert self.check_hit(replayed, corpus, 4, 7, cache_dir=cache) == want  # the same source
+        for name in ("corpus.py", "spectrum.py"):
+            with open(source / name, "a", encoding="utf-8") as fh:
+                fh.write("# edited\n")
+            assert self.check_hit(replayed, corpus, 4, 7, cache_dir=cache) == want, name
+        for i, name in enumerate([_cache.ORDER_SOURCE, *_cache.SOURCES], 2):
+            with open(source / name, "a", encoding="utf-8") as fh:
+                fh.write("# edited\n")
+            assert crossval_outcome(corpus, 4, 7, cache_dir=cache) == want
+            assert replayed.count == i and len(order_entries(cache)) == i, name
+            assert self.check_hit(replayed, corpus, 4, 7, cache_dir=cache) == want
+        # without its source the replay keys nothing: it runs uncached
+        (source / _cache.ORDER_SOURCE).unlink()
+        assert crossval_outcome(corpus, 4, 7, cache_dir=cache) == want
+        assert replayed.count == 5 and len(order_entries(cache)) == 4
+
+    @staticmethod
+    def redigested(positions: bytes) -> bytes:
+        return hashlib.sha256(positions).digest() + positions
+
+    @pytest.mark.parametrize("damage", [
+        lambda entry: entry[:-1],
+        lambda entry: entry[:-4],
+        lambda entry: entry[:_cache.DIGEST_BYTES],
+        lambda entry: b"",
+        lambda entry: entry + b"\0",
+        lambda entry: TestCache.flipped(entry, 0),
+        lambda entry: TestCache.flipped(entry, _cache.DIGEST_BYTES),
+        lambda entry: TestCache.flipped(entry, len(entry) - 1),
+        lambda entry: TestOrderCache.redigested(entry[_cache.DIGEST_BYTES:-4]),
+        lambda entry: TestOrderCache.redigested(entry[_cache.DIGEST_BYTES:] + entry[-4:]),
+    ], ids=["truncated", "one position short", "digest only", "empty", "longer", "digest bit", "first position bit",
+            "last position bit", "n - 1 positions", "n + 1 positions"])
+    def test_a_bad_entry_misses_and_is_rewritten(self, tmp_path, ab_spec, replayed, damage):
+        cache = tmp_path / "cache"
+        corpus = hapax_tail_corpus(ab_spec, random.Random(6), 70)
+        want = crossval_outcome(corpus, 5, 2, cache_dir=cache)
+        [entry] = order_entries(cache)
+        good = entry.read_bytes()
+        assert len(good) == _cache.DIGEST_BYTES + 4 * 70
+        entry.write_bytes(damage(good))
+        assert crossval_outcome(corpus, 5, 2, cache_dir=cache) == want
+        assert replayed.count == 2 and order_entries(cache) == [entry]
+        assert entry.read_bytes() == good
+        assert self.check_hit(replayed, corpus, 5, 2, cache_dir=cache) == want
+
+    def test_a_cache_that_cannot_be_written_gives_the_same_report(self, tmp_path, ab_spec, replayed, monkeypatch):
+        corpus = hapax_tail_corpus(ab_spec, random.Random(9), 90)
+        want = crossval_outcome(corpus, 6, 4)
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"")
+        for cache in (blocker, blocker / "cache"):  # a file, and a directory under a file
+            assert crossval_outcome(corpus, 6, 4, cache_dir=cache) == want
+        assert blocker.read_bytes() == b""
+        # a write that fails half-way (here at the rename) leaves nothing behind
+        cache = tmp_path / "cache"
+
+        def no_space(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(_cache.os, "replace", no_space)
+        assert crossval_outcome(corpus, 6, 4, cache_dir=cache) == want
+        assert list(cache.iterdir()) == []
+        assert replayed.count == 4
+
+    def test_pruning_counts_both_kinds_and_keeps_the_newest(self, tmp_path, en_spec, ab_spec, monkeypatch):
+        cache = tmp_path / "cache"
+        paths = [TestCache().write(tmp_path, CORPUS_TEXT + f"w{i}en\tV(pl)\n" * i, f"c{i}.tsv") for i in range(3)]
+        corpus = hapax_tail_corpus(ab_spec, random.Random(1), 50)
+        # oldest first: cells c0, order of seed 2, cells c1, order of seed 1
+        made = []
+        for i, make in enumerate([lambda: load_corpus(paths[0], en_spec, cache_dir=cache),
+                                  lambda: crossval_outcome(corpus, 2, 2, cache_dir=cache),
+                                  lambda: load_corpus(paths[1], en_spec, cache_dir=cache),
+                                  lambda: crossval_outcome(corpus, 2, 1, cache_dir=cache)]):
+            make()
+            [entry] = set(cache_entries(cache) + order_entries(cache)) - set(made)
+            os.utime(entry, ns=(0, (i + 1) * 10**9))
+            made.append(entry)
+        cells0, order2, cells1, order1 = made
+        # a hit makes order1 the most recently used
+        crossval_outcome(corpus, 2, 1, cache_dir=cache)
+        assert order1.stat().st_mtime_ns > 10**18
+        # room for the order of seed 3 (as large as the others), order1 and cells1
+        bound = 2 * order1.stat().st_size + cells1.stat().st_size
+        monkeypatch.setattr(_cache, "LIMIT_BYTES", bound)
+        crossval_outcome(corpus, 2, 3, cache_dir=cache)
+        [order3] = set(order_entries(cache)) - {order1, order2}
+        assert cache_entries(cache) == [cells1] and order_entries(cache) == sorted([order1, order3])
+        # a corpus written over the bound removes the orders, and stays alone
+        monkeypatch.setattr(_cache, "LIMIT_BYTES", 1)
+        load_corpus(paths[2], en_spec, cache_dir=cache)
+        [cells2] = cache_entries(cache)
+        assert cells2 not in made and sorted(cache.iterdir()) == [cells2]
+
+    def test_the_order_key_covers_the_replay(self):
+        # the order's key hashes crossval.py, where shuffled_order and
+        # everything it calls live: none of them reads another package module
+        tree = ast.parse(Path(crossval_module.__file__).read_text(encoding="utf-8"))
+        package = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and (node.level or node.module.partition(".")[0] == "hapaxprior") for alias in node.names}
+        package |= {alias.asname or alias.name.partition(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names
+                    if alias.name.partition(".")[0] == "hapaxprior"}
+        assert {"_cache", "TaggedCorpus", "paired_t"} <= package
+        top = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                top[node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    top.update({name.id: node for name in ast.walk(target) if isinstance(name, ast.Name)})
+        reached, todo = set(), ["shuffled_order"]
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                used = {node.id for node in ast.walk(top[name]) if isinstance(node, ast.Name)}
+                assert not used & package, (name, used & package)
+                todo += sorted(used & top.keys())
+        assert reached == {"shuffled_order", "_swap_targets"}
