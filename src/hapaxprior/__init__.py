@@ -34,6 +34,7 @@ from .estimators import (
     PriorEstimate,
     UnseenFormError,
     backoff_prior,
+    backoff_priors,
     expected_unseen_counts,
     form_mle,
     hapax_mle,
@@ -75,6 +76,7 @@ __all__ = [
     "TypeCount",
     "UnseenFormError",
     "backoff_prior",
+    "backoff_priors",
     "build_spectrum",
     "class_proportions",
     "expected_unseen_counts",

@@ -28,7 +28,7 @@ from .corpus import (
     save_corpus,
 )
 from .crossval import CrossValError, FoldResult, check_fold_args, run_crossval
-from .estimators import EstimationError, backoff_prior
+from .estimators import BACKOFF_SOURCES, EstimationError, backoff_priors
 from .spectrum import build_spectrum, class_proportions, running_median
 from .stats import DegenerateTTestError
 from .synth import SynthSpec, generate, save_truth
@@ -122,13 +122,16 @@ def cmd_priors(args: argparse.Namespace) -> int:
     forms = _gather_forms(args)
     corpus = _load(args)
     table = build_spectrum(corpus)
+    queries = list(map(str.lower, forms)) if args.fold_case else forms
+    hapax, support, probabilities = backoff_priors(table, queries, args.threshold)
+    # one column at a time: no per-row Python code runs before the csv writer
+    sources = map(BACKOFF_SOURCES.__getitem__, hapax.tolist())
+    columns = [map("{:.6f}".format, column) for column in probabilities.T.tolist()]
     with output(args.out) as out:
         out.write(_header(args, [("threshold", args.threshold)]))
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["form", "source", "support", *table.spec.functions])
-        for form in forms:
-            est = backoff_prior(table, form.lower() if args.fold_case else form, args.threshold)
-            writer.writerow([form, est.source, est.support, *(f"{p:.6f}" for p in est.probabilities)])
+        writer.writerows(zip(forms, sources, support.tolist(), *columns))
     return 0
 
 

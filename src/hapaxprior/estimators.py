@@ -10,9 +10,13 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .spectrum import SpectrumTable
 
 SOURCES = frozenset({"overall", "hapax", "form", "backoff-form", "backoff-hapax"})
+# the source of a backoff estimate, indexed by whether it took the hapax route
+BACKOFF_SOURCES = ("backoff-form", "backoff-hapax")
 
 _SUM_TOL = 1e-12
 
@@ -97,20 +101,61 @@ def form_mle(table: SpectrumTable, form: str) -> PriorEstimate:
                      lambda: UnseenFormError(f"form {form!r} not in table"))
 
 
+def _backoff(
+    table: SpectrumTable, forms: Sequence[str], threshold: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, PriorEstimate | None]:
+    """Whether each form takes the hapax route, the support and probabilities
+    of the form-route rows (the hapax-route rows are left 0), and the hapax
+    route's estimate (None when no form takes it)."""
+    if threshold < 1:
+        raise ValueError(f"threshold must be >= 1, got {threshold}")
+    get = table.rows.get
+    rows = np.array([get(form, -1) for form in forms], dtype=np.int64)  # -1: an unseen form
+    hapax = rows < 0
+    hapax[~hapax] = table.type_totals[rows[~hapax]] < threshold
+    fallback = _relative(table.hapax_totals, "backoff-hapax", lambda: _no_hapaxes(table)) if hapax.any() else None
+    counts = table.counts[rows[~hapax]]
+    support = np.zeros(len(rows), dtype=np.int64)
+    probabilities = np.zeros((len(rows), table.spec.n_functions))
+    support[~hapax] = counts.sum(axis=1)
+    probabilities[~hapax] = counts / support[~hapax, None]
+    return hapax, support, probabilities, fallback
+
+
+def backoff_priors(
+    table: SpectrumTable, forms: Sequence[str], threshold: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """backoff_prior of every form in forms, as three columns: hapax (bool,
+    True where the form took the hapax route), support (int64) and
+    probabilities (float64, one row per form, one column per function).
+
+    One pass over the queries: each is routed by one comparison of its
+    type total with the threshold, the counts of the form-route rows are
+    gathered and divided by their sums at once.  Below 2**53 numpy's
+    division of the counts is correctly rounded, as Python's is, so each
+    row equals backoff_prior's probabilities bit for bit.  The hapax-route
+    rows are the one hapax estimate, built and checked once; it raises
+    NoHapaxesError when some form takes the hapax route of a table without
+    hapaxes.  A form-route row needs no check: its counts are non-negative
+    and sum to at least threshold >= 1.  A table whose given hapax totals
+    sum to 2**63 or more does not fit the support column: OverflowError.
+    """
+    hapax, support, probabilities, fallback = _backoff(table, forms, threshold)
+    if fallback is not None:
+        support[hapax] = fallback.support
+        probabilities[hapax] = fallback.probabilities
+    return hapax, support, probabilities
+
+
 def backoff_prior(table: SpectrumTable, form: str, threshold: int = 1) -> PriorEstimate:
     """Per-form estimate when the form has >= threshold tokens, else hapax-based.
 
     The hapax route is also taken for seen forms below the threshold; a
-    zero-hapax table makes the fallback raise NoHapaxesError.
+    zero-hapax table makes the fallback raise NoHapaxesError.  This is
+    backoff_priors of one form.
     """
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
-    row = table.rows.get(form)
-    if row is not None and table.type_totals[row] >= threshold:
-        counts, source = table.counts[row].tolist(), "backoff-form"
-    else:
-        counts, source = table.hapax_totals, "backoff-hapax"
-    return _relative(counts, source, lambda: _no_hapaxes(table))  # a counted form's counts never sum to 0
+    (hapax,), (support,), (probabilities,), fallback = _backoff(table, [form], threshold)
+    return fallback if hapax else PriorEstimate(tuple(probabilities.tolist()), "backoff-form", int(support))
 
 
 def expected_unseen_counts(estimate: PriorEstimate, n_unseen_tokens: int) -> ExpectedCounts:

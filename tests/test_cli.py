@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import csv
 import errno
+import io
 import os
 import random
 import re
@@ -245,6 +247,61 @@ class TestPriors:
                         "--form", "lopen", "--forms-file", str(forms_file))
         rows = data_lines(out)[1:]
         assert [r.split(",")[0] for r in rows] == ["lopen", "eten", "praten"]
+
+
+    def test_output_is_the_per_row_renderers_bytes(self, tmp_path, capsys):
+        """The CSV of backoff_prior and csv.writer.writerow, one row at a time,
+        over forms that need quoting and forms whose case folding is not ASCII."""
+        from hapaxprior import backoff_prior, build_spectrum, load_class_spec, load_corpus
+
+        spec = write_spec(tmp_path)
+        frequent = ["lopen", 'zo"en', "zeg,gen", "Überlopen", "überlopen", "Ĳsen", "İen", '"q,u"en']
+        pairs = [(form, (i + j) % 3 % 2) for i, form in enumerate(frequent) for j in range(i % 4 + 1)]
+        pairs += [("lopen", 1)] * 3 + [("ÉÉN,en", 0), ("één,en", 1)]
+        pairs += [(f"zeldzaam{i}en", i % 2) for i in range(7)]
+        corpus = write_corpus(tmp_path, pairs)
+        queries = ["lopen", "Lopen", 'ZO"EN', 'zo"en', "zeg,gen", "ÜBERLOPEN", "überlopen", "ĳsen", "Ĳsen",
+                   "İen", "i̇en", '"Q,U"en', "één,en", "ÉÉN,en", "zeldzaam3en", "lopen", "nooit,gezien", '"']
+        forms_file = tmp_path / "forms.txt"
+        forms_file.write_text("".join(f"{q}\n" for q in queries), encoding="utf-8")
+        for fold_case in (False, True):
+            table = build_spectrum(load_corpus(corpus, load_class_spec(spec), fold_case=fold_case))
+            for threshold in (1, 2, 3):
+                want = io.StringIO()
+                want.write(f"# hapaxprior priors corpus={corpus} class_spec={spec} fold_case={fold_case}"
+                           f" threshold={threshold} seed=0\n")
+                writer = csv.writer(want, lineterminator="\n")
+                writer.writerow(["form", "source", "support", "inf", "pl"])
+                for form in queries:
+                    est = backoff_prior(table, form.lower() if fold_case else form, threshold)
+                    writer.writerow([form, est.source, est.support, *(f"{p:.6f}" for p in est.probabilities)])
+                out = tmp_path / "priors.csv"
+                argv = ["priors", "--corpus", corpus, "--class-spec", spec, "--forms-file", str(forms_file),
+                        "--threshold", str(threshold), "--out", str(out)]
+                assert main(argv + ["--fold-case"] * fold_case) == 0
+                assert out.read_bytes() == want.getvalue().encode("utf-8"), (fold_case, threshold)
+                # quoting at work, and the query printed as given but looked up folded
+                assert '\n"zo""en",' in want.getvalue()
+                assert ("\nLopen,backoff-form," in want.getvalue()) == fold_case
+        capsys.readouterr()
+
+    def test_one_query_on_the_hapax_route_of_a_table_without_hapaxes_fails_the_run(self, tmp_path, capsys):
+        spec = write_spec(tmp_path)
+        nohapax = write_corpus(tmp_path, [("lopen", 0)] * 6 + [("eten", 1)] * 6)
+        forms_file = tmp_path / "forms.txt"
+        forms_file.write_text("lopen\neten\nzien\nlopen\n")
+        argv = ["priors", "--corpus", nohapax, "--class-spec", spec, "--forms-file", str(forms_file)]
+        existing = tmp_path / "existing.csv"
+        existing.write_bytes(b"earlier output\n")
+        code, out, err = run(capsys, *argv, "--out", str(existing))
+        assert (code, out) == (2, "")
+        assert err == ("hapaxprior: hapax-based estimator undefined: no form occurs exactly once"
+                       " among 12 tokens of 2 types\n")
+        assert existing.read_bytes() == b"earlier output\n"
+        # every query on the form route: the table's lack of hapaxes does not matter
+        code, out, _ = run(capsys, *argv[:-2], "--form", "eten", "--form", "lopen", "--threshold", "6")
+        assert code == 0 and data_lines(out)[1:] == ["eten,backoff-form,6,0.000000,1.000000",
+                                                     "lopen,backoff-form,6,1.000000,0.000000"]
 
 
 class TestCrossvalAndReport:
@@ -804,8 +861,8 @@ class TestByteOrderMark:
 class TestColumnarPipeline:
     @pytest.fixture
     def built(self, monkeypatch):
-        """Every TokenRecord and TypeCount constructed while the test runs."""
-        from hapaxprior import TokenRecord, TypeCount
+        """Every TokenRecord, TypeCount and PriorEstimate constructed while the test runs."""
+        from hapaxprior import PriorEstimate, TokenRecord, TypeCount
 
         built = []
 
@@ -815,7 +872,7 @@ class TestColumnarPipeline:
                 post_init(self)
             return wrapper
 
-        for cls in (TokenRecord, TypeCount):
+        for cls in (TokenRecord, TypeCount, PriorEstimate):
             monkeypatch.setattr(cls, "__post_init__", counted(cls.__post_init__))
         return built
 
@@ -825,30 +882,38 @@ class TestColumnarPipeline:
         for command in ("crossval", "report"):
             code, _, _ = run(capsys, command, "--corpus", corpus, "--class-spec", spec, "--k", "5")
             assert code == 0
-        assert built == []
+        # two PriorEstimates per fold (OMLE and HMLE), none per token or type
+        assert [type(b).__name__ for b in built] == ["PriorEstimate"] * 2 * 5 * 2
         # the patch is live: the tokens view does build records
         from hapaxprior import load_class_spec, load_corpus
         load_corpus(corpus, load_class_spec(spec)).tokens
-        assert built
+        assert "TokenRecord" in [type(b).__name__ for b in built]
 
     def test_spectrum_figure_priors_build_no_per_token_or_per_type_objects(self, tmp_path, capsys, built):
-        from hapaxprior import build_spectrum, load_class_spec, load_corpus
+        from hapaxprior import backoff_prior, build_spectrum, load_class_spec, load_corpus
 
         spec = write_spec(tmp_path)
         corpus = write_corpus(tmp_path, crossval_pairs())
         for argv in (
             ["spectrum"],
             ["figure", "--smooth-window", "3"],
-            ["priors", "--form", "hebben", "--form", "rare3en", "--form", "neverseen",
-             "--threshold", "2"],
+            ["priors", "--form", "hebben", "--form", "hebben", "--threshold", "2"],
         ):
             code, _, err = run(capsys, *argv, "--corpus", corpus, "--class-spec", spec)
             assert code == 0, (argv, err)
         assert built == []
-        # the patch is live: the types view does build TypeCounts
-        assert build_spectrum(load_corpus(corpus, load_class_spec(spec))).types
-        assert built
-
+        # the hapax route: one estimate for the run, shared by every query that takes it
+        code, _, err = run(capsys, "priors", "--form", "hebben", "--form", "rare3en", "--form", "neverseen",
+                           "--threshold", "2", "--corpus", corpus, "--class-spec", spec)
+        assert code == 0, err
+        assert [(type(b).__name__, b.source) for b in built] == [("PriorEstimate", "backoff-hapax")]
+        # the patch is live: the types view does build TypeCounts, and backoff_prior a PriorEstimate
+        table = build_spectrum(load_corpus(corpus, load_class_spec(spec)))
+        assert table.types
+        assert "TypeCount" in [type(b).__name__ for b in built]
+        assert [type(b).__name__ for b in built].count("PriorEstimate") == 1
+        backoff_prior(table, "hebben")
+        assert [type(b).__name__ for b in built].count("PriorEstimate") == 2
 
 class TestNoScipy:
     def test_crossval_and_report_import_no_scipy(self, tmp_path):

@@ -1,15 +1,18 @@
 """Overall/hapax/per-form estimators, backoff routing, expected counts."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hapaxprior import (
+    ClassSpec,
     EstimationError,
     NoHapaxesError,
     PriorEstimate,
     SpectrumTable,
     UnseenFormError,
     backoff_prior,
+    backoff_priors,
     build_spectrum,
     expected_unseen_counts,
     form_mle,
@@ -135,6 +138,95 @@ class TestBackoff:
         table = build_spectrum(corpus_of(ab_spec, [("xx", 0), ("xx", 1)]))
         with pytest.raises(NoHapaxesError):
             backoff_prior(table, "zzz")
+
+
+def reference_prior(table, form, threshold):
+    """backoff_prior's rule in plain Python ints and true division: (source,
+    support, probabilities), or the text of the NoHapaxesError it raises."""
+    row = table.rows.get(form)
+    if row is not None and table.type_totals[row] >= threshold:
+        counts, source = table.counts[row].tolist(), "backoff-form"
+    else:
+        counts, source = list(table.hapax_totals), "backoff-hapax"
+    support = sum(counts)
+    if support == 0:
+        with pytest.raises(NoHapaxesError) as info:
+            hapax_mle(table)
+        return str(info.value)
+    return source, support, tuple(c / support for c in counts)
+
+
+class TestBackoffPriors:
+    """backoff_priors against backoff_prior of each form, and both against
+    the plain-Python rule."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        rows=st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4), max_size=8),
+        no_hapaxes=st.booleans(),
+        queries=st.lists(st.integers(0, 9).map("f{}".format) | st.sampled_from(["unseen", "F0", "", "f0 "]),
+                         max_size=12),
+    )
+    @example(n=3, rows=[], no_hapaxes=False, queries=["f0", "f0"])  # the empty table
+    @example(n=3, rows=[[2, 0, 1, 0], [0, 1, 0, 0]], no_hapaxes=True, queries=["f0", "f1", "f0"])
+    def test_equals_backoff_prior_of_each_form(self, n, rows, no_hapaxes, queries):
+        counts = [row[:n] for row in rows]
+        if no_hapaxes:  # every form with one token gets a second
+            counts = [[row[0] + (sum(row) == 1), *row[1:]] for row in counts]
+        labels = ("a", "b", "c", "d")[:n]
+        spec = ClassSpec("toy", labels, "", {label.upper(): label for label in labels})
+        forms = [f"f{i}" for i in range(len(counts))]
+        table = SpectrumTable.from_counts(spec, forms, np.array(counts, dtype=np.int64).reshape(-1, n))
+        top = max(table.type_totals.tolist(), default=0) + 1
+        for threshold in (*range(1, top + 1), 2**63 + 1):
+            want = [reference_prior(table, form, threshold) for form in queries]
+            errors = [w for w in want if isinstance(w, str)]
+            try:
+                hapax, support, probabilities = backoff_priors(table, queries, threshold)
+            except NoHapaxesError as exc:
+                # raised exactly when some query takes the hapax route, with its text
+                assert errors and str(exc) == errors[0], (threshold, queries)
+                for form, w in zip(queries, want):
+                    if isinstance(w, str):
+                        with pytest.raises(NoHapaxesError) as info:
+                            backoff_prior(table, form, threshold)
+                        assert str(info.value) == w
+                    else:
+                        assert backoff_prior(table, form, threshold).source == w[0]
+                continue
+            assert not errors, (threshold, queries)
+            assert (hapax.dtype, support.dtype, probabilities.dtype) == (bool, np.int64, np.float64)
+            assert probabilities.shape == (len(queries), n)
+            got = [(("backoff-form", "backoff-hapax")[h], s, tuple(p))
+                   for h, s, p in zip(hapax.tolist(), support.tolist(), probabilities.tolist())]
+            each = [backoff_prior(table, form, threshold) for form in queries]
+            assert got == [(e.source, e.support, e.probabilities) for e in each] == want
+            # bit for bit, not just equal
+            bits = np.array([w[2] for w in want], dtype=np.float64).reshape(-1, n)
+            assert probabilities.tobytes() == bits.tobytes()
+
+    def test_threshold_and_estimate_errors_are_backoff_priors(self, ab_spec):
+        table = build_spectrum(corpus_of(ab_spec, TOY))
+        for call in (lambda: backoff_prior(table, "lopen", 0), lambda: backoff_priors(table, ["lopen"], 0)):
+            with pytest.raises(ValueError, match=r"^threshold must be >= 1, got 0$"):
+                call()
+        # published totals that no count table has: the first hapax-route query's PriorEstimate refuses them
+        for hapax_totals, message in (((-1, 3), r"probabilities outside \[0,1\]: \(-0\.5, 1\.5\)"),
+                                      ((-2, 1), r"support must be >= 1, got -1")):
+            bogus = totals_table(ab_spec, (5, 5), hapax_totals)
+            for call in (lambda: backoff_prior(bogus, "x"), lambda: backoff_priors(bogus, ["x", "y"])):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    call()
+
+    def test_hapax_totals_beyond_int64(self, ab_spec):
+        """backoff_prior keeps Python ints for published totals; backoff_priors'
+        int64 support column cannot hold them."""
+        huge = totals_table(ab_spec, (2**64, 3), (2**64, 1))
+        assert backoff_prior(huge, "x") == PriorEstimate(
+            (2**64 / (2**64 + 1), 1 / (2**64 + 1)), "backoff-hapax", 2**64 + 1)
+        with pytest.raises(OverflowError):
+            backoff_priors(huge, ["x"])
 
 
 class TestExpectedCounts:

@@ -43,6 +43,8 @@ CASES = {
     "synth_a.spectrum": ["spectrum", *_corpus("synth_a")],
     "synth_a.priors": ["priors", *_corpus("synth_a"), "--form", "w000001", "--form", "w000400",
                        "--form", "w001500", "--form", "w999999", "--threshold", "3"],
+    "synth_a.priors_every_form": ["priors", *_corpus("synth_a"), "--forms-file", "synth_a.every.forms",
+                                  "--threshold", "3"],
     "synth_a.crossval": ["crossval", *_corpus("synth_a"), "--k", "10", "--seed", "5"],
     "synth_a.report": ["report", *_corpus("synth_a"), "--k", "10", "--seed", "5"],
     "synth_a.figure": ["figure", *_corpus("synth_a")],

@@ -44,4 +44,4 @@ def test_library_examples_run_and_show_their_values(tmp_path, monkeypatch):
             same = np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
             assert same, (expr.strip(), got, want)
             checked.append(expr.strip())
-    assert len(checked) == 9, checked
+    assert len(checked) == 10, checked
