@@ -3,9 +3,9 @@
 coded() gives a corpus file's cells from the cache entry of its bytes
 under one set of coding options, or codes the file and stores them.
 ordered() gives the fold order of n tokens under a seed from its entry,
-or replays it and stores it.  An entry is written whole or not at all
-(see _writer).  hashlib and json are imported only when something is
-cached.
+or replays it and stores it.  Both kinds are named by _entry_path, read
+and checked by _payload, and written whole or not at all by _write.
+hashlib and json are imported only when something is cached.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from contextlib import suppress
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import BinaryIO, Callable, Collection, Iterable
+from typing import BinaryIO, Callable, Collection
 
 import numpy as np
 
@@ -30,16 +30,16 @@ from ._writer import writing
 # an edit to the coder or to the entry layout re-keys, so an edited coder
 # never reads what an older one wrote.
 SOURCES = ("_lines.py", "_cache.py")
-# An entry is the sha256 of the rest of it, FIELDS (the cells' itemsize,
-# the number of cells, dropped), the cells, and the forms in
-# first-occurrence order, UTF-8, joined by "\n".
+# Every entry is the sha256 of the rest of it and its payload.  A corpus
+# entry's payload is FIELDS (the cells' itemsize, the number of cells,
+# dropped), the cells, and the forms in first-occurrence order, UTF-8,
+# joined by "\n".
 DIGEST_BYTES = 32
 FIELDS = struct.Struct("<3Q")
 SUFFIX = ".cells"
 # A fold order's key also hashes ORDER_SOURCE, the module that replays the
-# shuffle; it is read by path, never imported.  An order entry is the
-# sha256 of the rest of it and the order, one little-endian int32
-# position per token.
+# shuffle; it is read by path, never imported.  An order entry's payload
+# is the order, one little-endian int32 position per token.
 ORDER_SOURCE = "crossval.py"
 ORDER_SUFFIX = ".order"
 # After each write the least recently used entries are removed down to this many bytes.
@@ -217,7 +217,7 @@ def _signature(info: os.stat_result) -> tuple[int, ...]:
 
 
 @functools.cache
-def _source_digest(names: tuple[str, ...] = SOURCES) -> str:
+def _source_digest(names: tuple[str, ...]) -> str:
     """The sha256 of the source of the modules in names, in hex."""
     import hashlib
 
@@ -227,89 +227,84 @@ def _source_digest(names: tuple[str, ...] = SOURCES) -> str:
     return digest.hexdigest()
 
 
-def _entry_path(fh: BinaryIO, cache_dir: str | os.PathLike, options: tuple) -> str | None:
-    """The path in cache_dir of the entry of fh, a regular file opened at its
-    start, under options, the arguments of _lines.code_part after
-    block_bytes: the sha256 of SOURCES' digest, the options and the file's
-    bytes; None when SOURCES cannot be read.  fh is left at its start."""
+def _entry_path(cache_dir: str | os.PathLike, suffix: str, sources: tuple[str, ...], parts: Collection,
+                fh: BinaryIO | None = None) -> str | None:
+    """The path in cache_dir of the entry named by the sha256 of a JSON text
+    of suffix, the digest of sources and parts, then, given fh (a regular
+    file opened at its start, and left there), the file's bytes; None when
+    sources cannot be read."""
     try:
-        source = _source_digest()
+        source = _source_digest(sources)
     except OSError:  # an install without its source: nothing to key by
         return None
     import hashlib
     import json
 
-    # a JSON text holds no raw line break, so the options end at the first b"\n"
-    digest = hashlib.sha256(json.dumps([source, *options], sort_keys=True).encode() + b"\n")
-    block = bytearray(HASH_BLOCK)
-    view = memoryview(block)
-    while size := fh.readinto(block):
-        digest.update(view[:size])
-    fh.seek(0)
-    return os.path.join(cache_dir, digest.hexdigest() + SUFFIX)
+    # a JSON text holds no raw line break, so the parts end at the first b"\n"
+    digest = hashlib.sha256(json.dumps([suffix, source, *parts], sort_keys=True).encode() + b"\n")
+    if fh is not None:
+        block = bytearray(HASH_BLOCK)
+        view = memoryview(block)
+        while size := fh.readinto(block):
+            digest.update(view[:size])
+        fh.seek(0)
+    return os.path.join(cache_dir, digest.hexdigest() + suffix)
 
 
-def _read(entry: str, n: int) -> tuple[np.ndarray, tuple[str, ...], int] | None:
-    """coded()'s result from the entry at path entry, refreshing its mtime;
-    None for a missing entry, one whose digest does not match (truncated or
-    corrupt), and one whose fields do not fit its length, whose forms are
-    not UTF-8 or whose cells' form ids (cells // n) do not number them in
-    first-occurrence order.  Which forms they are, its writer is trusted
-    with; its layout is the one this module writes, as the key says."""
+def _payload(entry: str) -> memoryview | None:
+    """What follows the digest in the entry at path entry, refreshing its
+    mtime; None for a missing entry and one whose digest does not match the
+    rest of it (truncated or corrupt)."""
     import hashlib
 
     try:
         data = Path(entry).read_bytes()
     except OSError:
         return None
-    start = DIGEST_BYTES + FIELDS.size
-    if len(data) < start or hashlib.sha256(memoryview(data)[DIGEST_BYTES:]).digest() != data[:DIGEST_BYTES]:
-        return None
-    itemsize, n_cells, dropped = FIELDS.unpack_from(data, DIGEST_BYTES)
-    if itemsize not in (1, 2, 4, 8) or len(data) < start + itemsize * n_cells:
-        return None
-    joined = data[start + itemsize * n_cells:]
-    try:
-        forms = tuple(joined.decode("utf-8").split("\n")) if joined else ()  # a form is never empty
-    except UnicodeDecodeError:
-        return None
-    cells = np.frombuffer(data, f"<u{itemsize}", n_cells, start).astype(np.int64)
-    if not _numbers_in_order(cells // n, len(forms)):
+    payload = memoryview(data)[DIGEST_BYTES:]
+    if hashlib.sha256(payload).digest() != data[:DIGEST_BYTES]:
         return None
     with suppress(OSError):
         os.utime(entry)  # recently used: pruned last
-    return cells, forms, dropped
+    return payload
 
 
-def _store(entry: str, fh: BinaryIO, path: Path, signature: tuple[int, ...],
-           cells: np.ndarray, forms: tuple[str, ...], dropped: int) -> None:
-    """Write the entry of what fh, the corpus file at path, coded to, unless
-    the file changed since it was hashed (fh's or path's signature is not
-    signature), then prune the cache; a write that fails is skipped."""
+def _cells(payload: memoryview, n: int) -> tuple[np.ndarray, tuple[str, ...], int] | None:
+    """coded()'s result from the payload of a corpus entry; None for one
+    whose fields do not fit its length, whose forms are not UTF-8 or whose
+    cells' form ids (cells // n) do not number them in first-occurrence
+    order.  Which forms they are, its writer is trusted with; its layout is
+    the one this module writes, as the key says."""
+    if len(payload) < FIELDS.size:
+        return None
+    itemsize, n_cells, dropped = FIELDS.unpack_from(payload)
+    end = FIELDS.size + itemsize * n_cells
+    if itemsize not in (1, 2, 4, 8) or len(payload) < end:
+        return None
+    try:
+        forms = tuple(str(payload[end:], "utf-8").split("\n")) if len(payload) > end else ()  # a form is never empty
+    except UnicodeDecodeError:
+        return None
+    cells = np.frombuffer(payload, f"<u{itemsize}", n_cells, FIELDS.size).astype(np.int64)
+    return (cells, forms, dropped) if _numbers_in_order(cells // n, len(forms)) else None
+
+
+def _write(entry: str, chunks: tuple) -> None:
+    """Write the entry at path entry whole, the sha256 of chunks and then
+    chunks, creating its directory, then prune that directory; a write that
+    fails is skipped."""
     import hashlib
 
-    try:
-        if _signature(os.fstat(fh.fileno())) != signature or _signature(os.stat(path)) != signature:
-            return
-        packed = cells.astype(f"<u{np.min_scalar_type(cells.max(initial=0)).itemsize}")
-        joined = "\n".join(forms).encode("utf-8")  # a form never holds a line break
-        fields = FIELDS.pack(packed.itemsize, len(packed), dropped)
-        digest = hashlib.sha256(fields)
-        digest.update(packed)
-        digest.update(joined)
-        _write(entry, (digest.digest(), fields, packed, joined))
-    except OSError:
-        pass
-
-
-def _write(entry: str, chunks: Iterable) -> None:
-    """Write the entry at path entry whole from chunks, creating its
-    directory, then prune that directory."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
     directory = os.path.dirname(entry)
-    os.makedirs(directory, exist_ok=True)
-    with writing(entry) as out:
-        out.writelines(chunks)
-    prune(directory, os.path.basename(entry))
+    with suppress(OSError):
+        os.makedirs(directory, exist_ok=True)
+        with writing(entry) as out:
+            out.write(digest.digest())
+            out.writelines(chunks)
+        prune(directory, os.path.basename(entry))
 
 
 def coded(fh: BinaryIO, path: Path, job: tuple,
@@ -319,72 +314,43 @@ def coded(fh: BinaryIO, path: Path, job: tuple,
     form_id * n + function of each kept line as a new int64 array (the
     cells of a TaggedCorpus), the forms in first-occurrence order and the
     number of dropped lines.  With a cache_dir, a regular file's result
-    is read from its entry there when that is sound (see _read), else coded
-    and stored.  A bad line raises _lines.BadLine with its index in the
-    file, bytes that are not UTF-8 _lines.BadBytes counting the bytes before
-    their piece after a leading byte-order mark, and a failed read OSError.
+    is read from its entry there when that is sound (see _payload and
+    _cells), else coded and stored, unless the file changed since it was
+    hashed (fh's or path's signature is no longer the one it had before).
+    A bad line raises _lines.BadLine with its index in the file, bytes that
+    are not UTF-8 _lines.BadBytes counting the bytes before their piece
+    after a leading byte-order mark, and a failed read OSError.
     """
     n = job[2]  # code_part's
     info = os.fstat(fh.fileno())
-    entry = cache_dir is not None and stat.S_ISREG(info.st_mode) and _entry_path(fh, cache_dir, job[1:])
-    if hit := entry and _read(entry, n):
+    entry = (cache_dir is not None and stat.S_ISREG(info.st_mode)
+             and _entry_path(cache_dir, SUFFIX, SOURCES, job[1:], fh))
+    if entry and (payload := _payload(entry)) is not None and (hit := _cells(payload, n)):
         return hit
     cells, forms, dropped = _code(path, fh, job)
     if entry:
-        _store(entry, fh, path, _signature(info), cells, forms, dropped)
+        with suppress(OSError):  # a file that cannot be stat'ed now is not stored
+            if _signature(os.fstat(fh.fileno())) == _signature(info) == _signature(os.stat(path)):
+                packed = cells.astype(f"<u{np.min_scalar_type(cells.max(initial=0)).itemsize}")
+                joined = "\n".join(forms).encode("utf-8")  # a form never holds a line break
+                _write(entry, (FIELDS.pack(packed.itemsize, len(packed), dropped), packed, joined))
     return cells, forms, dropped
-
-
-def _order_path(cache_dir: str | os.PathLike, n: int, seed: int) -> str | None:
-    """The path in cache_dir of the entry of the fold order of n tokens
-    under seed: the sha256 of a JSON text of "order", n, seed, SOURCES'
-    digest and ORDER_SOURCE's; None when they cannot be read."""
-    try:
-        sources = _source_digest(), _source_digest((ORDER_SOURCE,))
-    except OSError:  # an install without its source: nothing to key by
-        return None
-    import hashlib
-    import json
-
-    name = hashlib.sha256(json.dumps(["order", n, seed, *sources]).encode()).hexdigest()
-    return os.path.join(cache_dir, name + ORDER_SUFFIX)
-
-
-def _read_order(entry: str, n: int) -> np.ndarray | None:
-    """The order held by the entry at path entry, as a read-only int32
-    array, refreshing its mtime; None for a missing entry and one whose
-    length is not that of n positions or whose digest does not match."""
-    import hashlib
-
-    try:
-        data = Path(entry).read_bytes()
-    except OSError:
-        return None
-    if (len(data) != DIGEST_BYTES + 4 * n
-            or hashlib.sha256(memoryview(data)[DIGEST_BYTES:]).digest() != data[:DIGEST_BYTES]):
-        return None
-    with suppress(OSError):
-        os.utime(entry)  # recently used: pruned last
-    return np.frombuffer(data, "<i4", n, DIGEST_BYTES)
 
 
 def ordered(n: int, seed: int, cache_dir: str | os.PathLike | None,
             replay: Callable[[int, int], np.ndarray]) -> np.ndarray:
     """The fold order of n tokens under seed, replay(n, seed), a read-only
     array of positions.  With a cache_dir and n >= 2 it is read from its
-    entry there when that is sound (see _read_order), else replayed and
-    stored; a write that fails is skipped.  The key holds no corpus bytes
-    and no fold count: every corpus of n tokens shares the order."""
-    entry = cache_dir is not None and n >= 2 and _order_path(cache_dir, n, seed)
-    if entry and (hit := _read_order(entry, n)) is not None:
-        return hit
+    entry there when its payload holds n positions (see _payload), else
+    replayed and stored.  The key holds no corpus bytes and no fold count:
+    every corpus of n tokens shares the order."""
+    entry = (cache_dir is not None and n >= 2
+             and _entry_path(cache_dir, ORDER_SUFFIX, (*SOURCES, ORDER_SOURCE), [n, seed]))
+    if entry and (payload := _payload(entry)) is not None and len(payload) == 4 * n:
+        return np.frombuffer(payload, "<i4")
     order = replay(n, seed)
     if entry:
-        import hashlib
-
-        packed = order.astype("<i4")
-        with suppress(OSError):
-            _write(entry, (hashlib.sha256(packed).digest(), packed))
+        _write(entry, (order.astype("<i4"),))
     return order
 
 

@@ -137,8 +137,7 @@ def backoff_priors(
     rows are the one hapax estimate, built and checked once; it raises
     NoHapaxesError when some form takes the hapax route of a table without
     hapaxes.  A form-route row needs no check: its counts are non-negative
-    and sum to at least threshold >= 1.  A table whose given hapax totals
-    sum to 2**63 or more does not fit the support column: OverflowError.
+    and sum to at least threshold >= 1.
     """
     hapax, support, probabilities, fallback = _backoff(table, forms, threshold)
     if fallback is not None:

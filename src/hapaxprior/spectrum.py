@@ -4,6 +4,7 @@ per-frequency-class proportion curves with running-median smoothing."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -40,7 +41,8 @@ class SpectrumTable:
     sums (type_totals) and the aggregate and hapax-only token totals.
 
     from_counts derives the totals; a table built from `types` (e.g. from
-    published totals) trusts the totals given, and refuses a key that is not
+    published totals) trusts the totals given when each is a non-negative
+    integer and each kind sums below 2**63, and refuses a key that is not
     its TypeCount's form.  types is a read-only view of the forms with
     tokens as TypeCounts, built on first access.
     """
@@ -56,6 +58,10 @@ class SpectrumTable:
         totals = tuple(token_totals), tuple(hapax_totals)
         if any(len(t) != spec.n_functions for t in totals):
             raise ValueError("totals length must match the number of functions")
+        for name, given in zip(("token_totals", "hapax_totals"), totals):
+            if (not all(isinstance(t, numbers.Integral) and not isinstance(t, bool) and t >= 0 for t in given)
+                    or sum(map(int, given)) >= 1 << 63):
+                raise ValueError(f"{name} must be non-negative integers that sum below 2**63, got {given!r}")
         forms = tuple(types)
         if mislabelled := [form for form, tc in types.items() if tc.form != form]:
             raise ValueError(f"types key {mislabelled[0]!r} is not its TypeCount's form")

@@ -846,6 +846,22 @@ class TestCache:
         for name in _cache.SOURCES:
             assert self.package_imports(package / name) <= {"_cache", "_lines", "_writer"}, name
 
+    def test_one_function_reads_and_one_writes_every_entry(self):
+        # corpus and order entries share one framing: only _payload reads an
+        # entry file, and only _write digests and writes one; _payload's
+        # digest is the check of what _write digested
+        callers = {"reads an entry": set(), "digest": set(), "writing": set()}
+        tree = ast.parse(Path(_cache.__file__).read_text(encoding="utf-8"))
+        for function in tree.body:
+            for node in ast.walk(function) if isinstance(function, ast.FunctionDef) else ():
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    names = {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
+                    if called in ("open", "read_bytes", "read_text", "fromfile", "memmap") and "entry" in names:
+                        called = "reads an entry"
+                    callers.get(called, set()).add(function.name)
+        assert callers == {"reads an entry": {"_payload"}, "digest": {"_payload", "_write"}, "writing": {"_write"}}
+
     def test_a_cache_that_cannot_be_written_loads_normally(self, tmp_path, en_spec, coded, monkeypatch):
         path = self.write(tmp_path)
         want = load_corpus(path, en_spec)

@@ -1,5 +1,7 @@
 """Overall/hapax/per-form estimators, backoff routing, expected counts."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -211,22 +213,27 @@ class TestBackoffPriors:
         for call in (lambda: backoff_prior(table, "lopen", 0), lambda: backoff_priors(table, ["lopen"], 0)):
             with pytest.raises(ValueError, match=r"^threshold must be >= 1, got 0$"):
                 call()
-        # published totals that no count table has: the first hapax-route query's PriorEstimate refuses them
-        for hapax_totals, message in (((-1, 3), r"probabilities outside \[0,1\]: \(-0\.5, 1\.5\)"),
-                                      ((-2, 1), r"support must be >= 1, got -1")):
-            bogus = totals_table(ab_spec, (5, 5), hapax_totals)
-            for call in (lambda: backoff_prior(bogus, "x"), lambda: backoff_priors(bogus, ["x", "y"])):
-                with pytest.raises(ValueError, match=f"^{message}$"):
-                    call()
+        # published totals that no count table has are refused when the table is built
+        for hapax_totals in ((-1, 3), (-2, 1), (1.5, "x"), (True, 1), (2.0, 1)):
+            with pytest.raises(ValueError, match=r"^hapax_totals must be non-negative integers that sum below"
+                                                 rf" 2\*\*63, got {re.escape(repr(hapax_totals))}$"):
+                totals_table(ab_spec, (5, 5), hapax_totals)
 
     def test_hapax_totals_beyond_int64(self, ab_spec):
-        """backoff_prior keeps Python ints for published totals; backoff_priors'
-        int64 support column cannot hold them."""
-        huge = totals_table(ab_spec, (2**64, 3), (2**64, 1))
-        assert backoff_prior(huge, "x") == PriorEstimate(
-            (2**64 / (2**64 + 1), 1 / (2**64 + 1)), "backoff-hapax", 2**64 + 1)
-        with pytest.raises(OverflowError):
-            backoff_priors(huge, ["x"])
+        """Published totals that sum to 2**63 or more are refused when the
+        table is built; the largest sums below it fit backoff_priors' int64
+        support column."""
+        for name, token_totals, hapax_totals in (("token_totals", (2**64, 3), (1, 1)),
+                                                 ("hapax_totals", (3, 3), (2**64, 1)),
+                                                 ("hapax_totals", (3, 3), (2**62, 2**62))):
+            with pytest.raises(ValueError, match=f"^{name} must be non-negative integers that sum below"):
+                totals_table(ab_spec, token_totals, hapax_totals)
+        big = totals_table(ab_spec, (2**63 - 2, 1), (2**63 - 2, 1))
+        want = PriorEstimate(((2**63 - 2) / (2**63 - 1), 1 / (2**63 - 1)), "backoff-hapax", 2**63 - 1)
+        assert backoff_prior(big, "x") == want
+        hapax, support, probabilities = backoff_priors(big, ["x"])
+        assert hapax.tolist() == [True] and support.tolist() == [want.support]
+        assert tuple(probabilities[0].tolist()) == want.probabilities
 
 
 class TestExpectedCounts:
