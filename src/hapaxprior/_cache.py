@@ -317,14 +317,17 @@ def coded(fh: BinaryIO, path: Path, job: tuple,
     is read from its entry there when that is sound (see _payload and
     _cells), else coded and stored, unless the file changed since it was
     hashed (fh's or path's signature is no longer the one it had before).
+    The key also names the interpreter's Unicode database.
     A bad line raises _lines.BadLine with its index in the file, bytes that
     are not UTF-8 _lines.BadBytes counting the bytes before their piece
     after a leading byte-order mark, and a failed read OSError.
     """
+    import unicodedata  # the database that code_part's str.strip and str.lower follow
+
     n = job[2]  # code_part's
     info = os.fstat(fh.fileno())
     entry = (cache_dir is not None and stat.S_ISREG(info.st_mode)
-             and _entry_path(cache_dir, SUFFIX, SOURCES, job[1:], fh))
+             and _entry_path(cache_dir, SUFFIX, SOURCES, [*job[1:], unicodedata.unidata_version], fh))
     if entry and (payload := _payload(entry)) is not None and (hit := _cells(payload, n)):
         return hit
     cells, forms, dropped = _code(path, fh, job)

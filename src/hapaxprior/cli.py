@@ -43,12 +43,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}".rstrip())
 
 
+def _one_line(text: str) -> str:
+    """text, or its repr() when it holds a line break, so that it prints as one line."""
+    return text if "".join(text.splitlines()) == text else repr(text)
+
+
 def _header(args: argparse.Namespace, pairs: Sequence[tuple[str, object]] = ()) -> str:
     """The '#' line echoing a command's arguments; a command that reads a
     corpus names its input first."""
     if "corpus" in vars(args):
         pairs = [(key, getattr(args, key)) for key in ("corpus", "class_spec", "fold_case")] + list(pairs)
-    body = " ".join(f"{k}={v}" for k, v in pairs)
+    body = " ".join(f"{k}={_one_line(str(v))}" for k, v in pairs)
     return f"# hapaxprior {args.command} {body} seed={args.seed}\n"
 
 
@@ -331,7 +336,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"hapaxprior: {exc}", file=sys.stderr)
         return 1
     except (CorpusFormatError, EstimationError, CrossValError, DegenerateTTestError, OSError, MemoryError) as exc:
-        print(f"hapaxprior: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        print(f"hapaxprior: {_one_line(str(exc) or type(exc).__name__)}", file=sys.stderr)
         return 2
 
 

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import contextlib
 import csv
 import errno
 import io
@@ -153,6 +154,23 @@ class TestExitCodes:
             code, out, err = run(capsys, "spectrum", "--corpus", nohapax, "--class-spec", str(bad_spec))
             assert code == 2 and out == "", name
             assert len(err.splitlines()) == 1 and str(bad_spec) in err, name
+
+    def test_a_path_with_a_line_break_prints_as_its_repr(self, tmp_path, capsys):
+        # the header stays '#' lines and a data error one line; a usage error keeps its usage lines
+        spec = str(tmp_path / "class\r.spec")
+        Path(spec).write_text(SPEC_TEXT)
+        corpus = write_corpus(tmp_path, [("lopen", 0), ("eten", 1)], name="a\nb.tsv")
+        code, out, _ = run(capsys, "spectrum", "--corpus", corpus, "--class-spec", spec)
+        assert code == 0
+        assert out.splitlines()[:2] == [f"# hapaxprior spectrum corpus={corpus!r} class_spec={spec!r} fold_case=False"
+                                        " seed=0", "# types=2 tokens=2 hapax_types=2 dropped=0"]
+        bad = tmp_path / "bad\nname.tsv"
+        bad.write_text("lopen\tV(inf)\textra\n")
+        message = f"{bad}:1: expected 'form<TAB>tag', got 3 fields"
+        assert run(capsys, "spectrum", "--corpus", str(bad), "--class-spec", spec) == (
+            2, "", f"hapaxprior: {message!r}\n")
+        code, _, err = run(capsys, "spectrum", "--corpus", str(bad))
+        assert code == 1 and err.startswith("hapaxprior: the following arguments are required: --class-spec\nusage: ")
 
     def test_memory_error_is_a_one_line_data_error(self, tmp_path, capsys, monkeypatch):
         argv = ["synth", "--n-types", "10", "--target-tokens", "20", "--out", str(tmp_path / "o.tsv")]
@@ -946,12 +964,37 @@ class TestReadme:
         lines = block.replace("\\\n", " ").splitlines()
         return [shlex.split(line) for line in lines if line.startswith("hapaxprior ")]
 
-    def test_every_readme_command_exits_0(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
+    def test_the_demo_gives_the_same_bytes_with_the_cache_cold_warm_and_off(self, tmp_path, capsys, monkeypatch):
+        # each run in a directory of its own: the cold one with an empty cache,
+        # the warm one with the cache the cold one filled, the last with none
         commands = self.readme_commands()
         assert [argv[1] for argv in commands] == [
             "synth", "spectrum", "priors", "crossval", "report", "figure",
         ]
-        for argv in commands:
-            code, _, err = run(capsys, *argv[1:])
-            assert code == 0, (argv, err)
+        cache, old = tmp_path / "cache", 946684800  # 2000-01-01
+        outputs = {}
+        with contextlib.ExitStack() as held:
+            for name, cache_dir in (("cold", str(cache)), ("warm", str(cache)), ("off", "")):
+                directory = tmp_path / name
+                directory.mkdir()
+                monkeypatch.chdir(directory)
+                monkeypatch.setenv("HAPAXPRIOR_CACHE_DIR", cache_dir)
+                stdout = []
+                for argv in commands:
+                    code, out, err = run(capsys, *argv[1:])
+                    assert code == 0, (name, argv, err)
+                    stdout.append(out)
+                outputs[name] = stdout, {path.name: path.read_bytes() for path in directory.iterdir()}
+                if name == "cold":
+                    # corpus entries, and one fold order that crossval and report share
+                    entries = sorted(cache.iterdir())
+                    assert [entry.suffix for entry in entries].count(".order") == 1 and len(entries) > 1
+                    for entry in entries:
+                        os.utime(entry, (old, old))
+                        held.enter_context(open(entry, "rb"))  # so that no later file can take its inode
+                    cold = {entry.name: entry.stat().st_ino for entry in entries}
+        assert outputs["cold"] == outputs["warm"] == outputs["off"]
+        assert len(outputs["cold"][1]) == 3 and all(outputs["cold"][0][1:])  # synth's three files
+        # a hit refreshes its entry's mtime; a miss, or a hit that rewrote it, would replace the file
+        assert {entry.name: entry.stat().st_ino for entry in cache.iterdir()} == cold
+        assert all(entry.stat().st_mtime > old for entry in cache.iterdir())

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import threading
+import unicodedata
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -713,21 +714,26 @@ class TestCache:
         assert load_corpus(path, en_spec, cache_dir=cache) == miss
         assert len(split.started) == 2 and split.parts == [3]
 
-    def test_other_bytes_or_options_miss(self, tmp_path, en_spec, coded):
+    def test_other_bytes_or_options_miss(self, tmp_path, en_spec, coded, monkeypatch):
         path, cache = self.write(tmp_path), tmp_path / "cache"
         first = load_corpus(path, en_spec, cache_dir=cache)
         assert coded.count == 1 and len(cache_entries(cache)) == 1
         tag_map = dict(en_spec.tag_map, **{"V(pl,past)": "inf"})
+        version = unicodedata.unidata_version
         variants = [
-            ("bytes", CORPUS_TEXT + "eten\tV(pl)\n", en_spec, False),
-            ("a tag", CORPUS_TEXT, ClassSpec("dutch-en", ("inf", "pl"), "en", tag_map), False),
-            ("function order", CORPUS_TEXT, ClassSpec("dutch-en", ("pl", "inf"), "en", dict(en_spec.tag_map)), False),
+            ("bytes", CORPUS_TEXT + "eten\tV(pl)\n", en_spec, False, version),
+            ("a tag", CORPUS_TEXT, ClassSpec("dutch-en", ("inf", "pl"), "en", tag_map), False, version),
+            ("function order", CORPUS_TEXT, ClassSpec("dutch-en", ("pl", "inf"), "en", dict(en_spec.tag_map)), False,
+             version),
             ("functions", CORPUS_TEXT, ClassSpec("dutch-en", ("inf", "pl", "x"), "en",
-                                                 dict(en_spec.tag_map, X="x")), False),
-            ("suffix", CORPUS_TEXT, ClassSpec("dutch-en", ("inf", "pl"), "n", dict(en_spec.tag_map)), False),
-            ("fold_case", CORPUS_TEXT, en_spec, True),
+                                                 dict(en_spec.tag_map, X="x")), False, version),
+            ("suffix", CORPUS_TEXT, ClassSpec("dutch-en", ("inf", "pl"), "n", dict(en_spec.tag_map)), False, version),
+            ("fold_case", CORPUS_TEXT, en_spec, True, version),
+            # str.strip and str.lower follow the interpreter's Unicode database
+            ("the Unicode database", CORPUS_TEXT, en_spec, True, "0.0.0"),
         ]
-        for i, (what, text, spec, fold_case) in enumerate(variants, 2):
+        for i, (what, text, spec, fold_case, unidata_version) in enumerate(variants, 2):
+            monkeypatch.setattr(unicodedata, "unidata_version", unidata_version)
             path.write_text(text, encoding="utf-8")
             want = load_corpus(path, spec, fold_case=fold_case)
             before = coded.count
@@ -735,6 +741,7 @@ class TestCache:
             assert coded.count == before + 1 and len(cache_entries(cache)) == i, what
             assert self.check_hit(path, spec, cache, coded, fold_case=fold_case) == want, what
         # the class name is not a coding option: a spec that codes alike hits
+        monkeypatch.setattr(unicodedata, "unidata_version", version)
         path.write_text(CORPUS_TEXT, encoding="utf-8")
         renamed = ClassSpec("renamed", en_spec.functions, en_spec.suffix, dict(en_spec.tag_map))
         hit = self.check_hit(path, renamed, cache, coded)
@@ -1071,7 +1078,7 @@ class TestOrderCache:
             assert out.read_bytes() == want, (name, command)
         assert replayed.count == 5 and order_entries(cache) == [entry]
 
-    def test_another_seed_or_token_count_adds_an_entry(self, tmp_path, ab_spec, replayed):
+    def test_another_seed_or_token_count_adds_an_entry(self, tmp_path, ab_spec, replayed, monkeypatch):
         cache = tmp_path / "cache"
         rng = random.Random(2)
         corpora = {n: hapax_tail_corpus(ab_spec, rng, n) for n in (60, 61)}
@@ -1084,6 +1091,9 @@ class TestOrderCache:
             for n, seed in keys[:2]:
                 assert self.check_hit(replayed, corpora[n], k, seed, cache_dir=cache) == crossval_outcome(
                     corpora[n], k, seed)
+        # the Unicode database decides nothing an order holds
+        monkeypatch.setattr(unicodedata, "unidata_version", "0.0.0")
+        assert self.check_hit(replayed, corpora[60], 3, 1, cache_dir=cache) == crossval_outcome(corpora[60], 3, 1)
         # fewer than two tokens have one order, and no entry
         for n in (0, 1):
             assert _cache.ordered(n, 1, cache, crossval_module.shuffled_order).tolist() == list(range(n))
