@@ -3,7 +3,7 @@
 coded() gives a corpus file's cells from the cache entry of its bytes
 under one set of coding options, or codes the file and stores them.
 ordered() gives the fold order of n tokens under a seed from its entry,
-or replays it and stores it.  Both kinds are named by _entry_path, read
+or shuffles and stores it.  Both kinds are named by _entry_path, read
 and checked by _payload, and written whole or not at all by _write.
 hashlib and json are imported only when something is cached.
 """
@@ -37,9 +37,9 @@ SOURCES = ("_lines.py", "_cache.py")
 DIGEST_BYTES = 32
 FIELDS = struct.Struct("<3Q")
 SUFFIX = ".cells"
-# A fold order's key also hashes ORDER_SOURCE, the module that replays the
-# shuffle; it is read by path, never imported.  An order entry's payload
-# is the order, one little-endian int32 position per token.
+# A fold order's key also hashes ORDER_SOURCE, the module that shuffles;
+# it is read by path, never imported.  An order entry's payload is the
+# order, one little-endian int32 position per token.
 ORDER_SOURCE = "crossval.py"
 ORDER_SUFFIX = ".order"
 # After each write the least recently used entries are removed down to this many bytes.
@@ -341,17 +341,19 @@ def coded(fh: BinaryIO, path: Path, job: tuple,
 
 
 def ordered(n: int, seed: int, cache_dir: str | os.PathLike | None,
-            replay: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """The fold order of n tokens under seed, replay(n, seed), a read-only
+            shuffle: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """The fold order of n tokens under seed, shuffle(n, seed), a read-only
     array of positions.  With a cache_dir and n >= 2 it is read from its
     entry there when its payload holds n positions (see _payload), else
-    replayed and stored.  The key holds no corpus bytes and no fold count:
-    every corpus of n tokens shares the order."""
+    shuffled and stored.  The key holds no corpus bytes and no fold count:
+    every corpus of n tokens shares the order.  It names the interpreter's
+    major.minor version, since random.shuffle's results may differ between
+    versions."""
     entry = (cache_dir is not None and n >= 2
-             and _entry_path(cache_dir, ORDER_SUFFIX, (*SOURCES, ORDER_SOURCE), [n, seed]))
+             and _entry_path(cache_dir, ORDER_SUFFIX, (*SOURCES, ORDER_SOURCE), [n, seed, sys.version_info[:2]]))
     if entry and (payload := _payload(entry)) is not None and len(payload) == 4 * n:
         return np.frombuffer(payload, "<i4")
-    order = replay(n, seed)
+    order = shuffle(n, seed)
     if entry:
         _write(entry, (order.astype("<i4"),))
     return order

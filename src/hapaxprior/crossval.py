@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -89,94 +90,16 @@ class CrossValReport:
     ttest_h: TTestResult
 
 
-def _swap_targets(rng: random.Random, n: int) -> np.ndarray:
-    """targets[i] = rng._randbelow(i + 1) for i = n-1 .. 1, drawn in that
-    order from rng's words as random.shuffle draws them (targets[0] is 0).
-
-    A draw for modulus m takes the top k = m.bit_length() bits of a word
-    and rejects them while >= m.  Within a run of equal k the words are
-    decided in blocks of at most b acceptances: before the block's b-th
-    acceptance the modulus is above m - b, so a value <= m - b is surely
-    accepted and one >= m surely rejected; only the values in between are
-    decided one by one.
-    """
-    targets = np.zeros(n, np.int32)
-    words = np.empty(0, np.uint32)  # drawn, not yet used
-    m = n  # the modulus of the next draw, i + 1
-    while m >= 2:
-        k = m.bit_length()
-        low = 1 << (k - 1)
-        block = 8 << (k // 2)
-        while m >= low:
-            b = min(block, m - low + 1)
-            want = b * (1 << k) // (m - b + 1) + 16
-            if want > len(words):
-                more = max(want, min(m + m // 2, 1 << 20))
-                fresh = np.frombuffer(rng.getrandbits(32 * more).to_bytes(4 * more, "little"), "<u4")
-                words = np.concatenate((words, fresh))
-            r = words[:want] >> (32 - k)
-            accept = r <= m - b
-            between = np.flatnonzero((r > m - b) & (r < m))
-            decided = 0  # acceptances among the in-between values so far
-            for t, before, value in zip(between.tolist(), np.cumsum(accept)[between].tolist(),
-                                        r[between].tolist()):
-                if before + decided >= b:
-                    break
-                if value < m - before - decided:
-                    accept[t] = True
-                    decided += 1
-            taken = np.flatnonzero(accept)[:b]
-            targets[m - len(taken):m][::-1] = r[taken]
-            used = taken[-1] + 1 if len(taken) == b else want
-            words = words[used:]
-            m -= len(taken)
-    return targets
-
-
 def shuffled_order(n: int, seed: int) -> np.ndarray:
     """The permutation random.Random(seed).shuffle(list(range(n))) leaves,
     as a read-only int64 array: position i of a shuffled corpus holds token
-    shuffled_order(n, seed)[i].  n must be below
-    2**31 (ValueError otherwise): the replay indexes positions as int32.
-
-    That stdlib shuffle defines the permutation.  It is computed by
-    replaying the words of the same generator in numpy: step s (n-1 down to
-    1) swaps positions s and j_s <= s, after which position s is final.  So
-    position s ends with the value position j_s held before step s: V(t)
-    for the nearest earlier step t > s with j_t = j_s, else j_s itself.
-    V(t), the value position t holds before step t, is V(f(t)) for the
-    first step f(t) > t with j = t, else t; the chains resolve by pointer
-    doubling.  Position 0 ends with V(0).
-    """
+    shuffled_order(n, seed)[i].  It is that stdlib shuffle, run over int32
+    positions, so n must be below 2**31 (ValueError otherwise)."""
     if n >= 2**31:
-        raise ValueError(f"cannot replay a shuffle of {n} items: n must be below 2**31")
-    permutation = np.arange(n, dtype=np.int64)
-    if n >= 2:
-        bits = np.uint64((n - 1).bit_length())
-        # steps sorted by (target, step) in one sort of packed keys
-        keys = _swap_targets(random.Random(seed), n)[1:].astype(np.uint64) << bits
-        keys |= np.arange(1, n, dtype=np.uint64)
-        keys.sort()
-        target = (keys >> bits).astype(np.int32)
-        keys &= (np.uint64(1) << bits) - np.uint64(1)
-        step = keys.astype(np.int32)
-        del keys
-        same = target[1:] == target[:-1]
-        later = np.full(n - 1, -1, np.int32)  # the next step with the same target, else -1
-        later[:-1][same] = step[1:][same]
-        heads = np.flatnonzero(np.concatenate(([True], ~same)))
-        # f(p): a group's first step, or the next one where the first is step p itself
-        first = np.where(step[heads] == target[heads], later[heads], step[heads])
-        found = first >= 0
-        chain = np.arange(n, dtype=np.int32)
-        chain[target[heads][found]] = first[found]
-        del same, heads, first, found
-        todo = np.flatnonzero(chain[chain] != chain)
-        while len(todo):
-            chain[todo] = chain[chain[todo]]
-            todo = todo[chain[chain[todo]] != chain[todo]]
-        permutation[step] = np.where(later >= 0, chain[later], target)
-        permutation[0] = chain[0]
+        raise ValueError(f"cannot shuffle {n} items: n must be below 2**31")
+    positions = array("i", range(n))
+    random.Random(seed).shuffle(positions)
+    permutation = np.frombuffer(positions, np.int32).astype(np.int64)
     permutation.flags.writeable = False
     return permutation
 
@@ -185,7 +108,7 @@ def check_fold_args(k: int, seed: int) -> None:
     """ValueError unless k >= 2 and seed >= 0, as every fold plan needs."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if seed < 0:  # random.Random seeds with abs(seed), so -5 would replay the folds of 5
+    if seed < 0:  # random.Random seeds with abs(seed), so -5 would give the folds of 5
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
@@ -194,7 +117,7 @@ def _folds(n: int, k: int, seed: int, cache_dir: str | os.PathLike | None = None
     order[bounds[f - 1]:bounds[f]] of order = shuffled_order(n, seed), k
     slices whose sizes differ by at most one, the remainder one each to the
     lowest folds.  With a cache_dir the order is read from its entry there,
-    or replayed and stored (see _cache.ordered).  ValueError for k < 2,
+    or shuffled and stored (see _cache.ordered).  ValueError for k < 2,
     k > n, seed < 0 or n >= 2**31."""
     check_fold_args(k, seed)
     if k > n:
@@ -283,7 +206,7 @@ def run_crossval(
     that lists every such fold with its counts and names the first.  A k the
     corpus cannot be split into raises CrossValError with fold None; equal
     ratio labels raise ValueError.  With a cache_dir, the fold order is read
-    from its entry there, or replayed and stored, as load_corpus's
+    from its entry there, or shuffled and stored, as load_corpus's
     cache_dir does for the corpus; the report is the same either way.
     """
     spec = corpus.spec

@@ -986,15 +986,15 @@ def order_entries(cache):
 
 @pytest.fixture
 def replayed(monkeypatch):
-    """Count the fold orders crossval replays; set replayed.forbid to make
-    a replay fail, so the order must come from the cache."""
-    replay = crossval_module.shuffled_order
+    """Count the fold orders crossval shuffles; set replayed.forbid to make
+    a shuffle fail, so the order must come from the cache."""
+    shuffle = crossval_module.shuffled_order
     record = SimpleNamespace(count=0, forbid=False)
 
     def counted(n, seed):
-        assert not record.forbid, "replayed an order that the cache holds"
+        assert not record.forbid, "shuffled an order that the cache holds"
         record.count += 1
-        return replay(n, seed)
+        return shuffle(n, seed)
 
     monkeypatch.setattr(crossval_module, "shuffled_order", counted)
     return record
@@ -1020,7 +1020,7 @@ def crossval_outcome(*args, **options):
 class TestOrderCache:
     def check_hit(self, replayed, *args, call=crossval_outcome, **options):
         """call's result (by default run_crossval's outcome), failing if it
-        replays the order."""
+        shuffles the order."""
         replayed.forbid = True
         try:
             return call(*args, **options)
@@ -1045,7 +1045,7 @@ class TestOrderCache:
             reports += not isinstance(hit, tuple)
             assert len(order_entries(cache)) == len(keys)
         assert reports > 20 and len(keys) > 50
-        # an entry's order is the replay's, read back as int32
+        # an entry's order is the shuffle's, read back as int32
         order = self.check_hit(replayed, n, seed, cache, crossval_module.shuffled_order, call=_cache.ordered)
         assert order.dtype == np.int32 and not order.flags.writeable
         assert np.array_equal(order, crossval_module.shuffled_order(n, seed))
@@ -1068,7 +1068,7 @@ class TestOrderCache:
                 assert replayed.count == 1, (name, command)
                 replayed.forbid = True
         assert len(cache_entries(cache)) == 2
-        # the cache off: every run replays, and what it prints is the same
+        # the cache off: every run shuffles, and what it prints is the same
         replayed.forbid = False
         monkeypatch.setenv("HAPAXPRIOR_CACHE_DIR", "")
         for (name, command), want in outputs.items():
@@ -1120,10 +1120,29 @@ class TestOrderCache:
             assert crossval_outcome(corpus, 4, 7, cache_dir=cache) == want
             assert replayed.count == i and len(order_entries(cache)) == i, name
             assert self.check_hit(replayed, corpus, 4, 7, cache_dir=cache) == want
-        # without its source the replay keys nothing: it runs uncached
+        # without its source the shuffle keys nothing: it runs uncached
         (source / _cache.ORDER_SOURCE).unlink()
         assert crossval_outcome(corpus, 4, 7, cache_dir=cache) == want
         assert replayed.count == 5 and len(order_entries(cache)) == 4
+
+    def test_another_interpreter_version_misses(self, tmp_path, en_spec, ab_spec, replayed, coded, monkeypatch):
+        # random.shuffle's results are not promised across Python versions,
+        # so the order key names the interpreter's; a corpus key does not
+        cache = tmp_path / "cache"
+        path = TestCache().write(tmp_path)
+        loaded = load_corpus(path, en_spec, cache_dir=cache)
+        corpus = hapax_tail_corpus(ab_spec, random.Random(3), 75)
+        want = crossval_outcome(corpus, 5, 1, cache_dir=cache)
+        [entry] = order_entries(cache)
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "version_info", (sys.version_info[0], sys.version_info[1] + 1, 0, "final", 0))
+            assert crossval_outcome(corpus, 5, 1, cache_dir=cache) == want
+            assert replayed.count == 2 and len(order_entries(cache)) == 2
+            assert self.check_hit(replayed, corpus, 5, 1, cache_dir=cache) == want
+            assert TestCache().check_hit(path, en_spec, cache, coded) == loaded
+        assert coded.count == 1 and len(cache_entries(cache)) == 1
+        assert self.check_hit(replayed, corpus, 5, 1, cache_dir=cache) == want
+        assert entry in order_entries(cache)
 
     @staticmethod
     def redigested(positions: bytes) -> bytes:
@@ -1229,4 +1248,4 @@ class TestOrderCache:
                 used = {node.id for node in ast.walk(top[name]) if isinstance(node, ast.Name)}
                 assert not used & package, (name, used & package)
                 todo += sorted(used & top.keys())
-        assert reached == {"shuffled_order", "_swap_targets"}
+        assert reached == {"shuffled_order"}

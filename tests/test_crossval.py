@@ -1,6 +1,7 @@
 """The seeded shuffle, fold planning, per-fold bookkeeping, and the ratio t-tests."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -442,8 +443,8 @@ class TestShuffle:
         seeds = [0, 1, 2, 7, 42, -1, -12345, 2**31 - 1, 2**32, 2**63 + 5, 2**64 - 1, 3**50]
         pairs = [(n, seed) for n in sizes for seed in seeds]
         pairs += [(n, seed) for n in (2**16 - 1, 2**16 + 1, 2**17 + 1) for seed in seeds[:2]]
-        # the benchmark's sizes with the CLI's crossval seed cross every block
-        # and bit-length boundary of the replay
+        # the benchmark's sizes with the CLI's crossval seed, whose draws
+        # take up to 21 bits each
         pairs += [(2**20 + 1, 1), (1_000_000, 1)]
         for n, seed in pairs:
             want = list(range(n))
@@ -454,7 +455,17 @@ class TestShuffle:
             assert order.tolist() == want, (n, seed)
         assert len(pairs) > 400
 
+    def test_shuffled_order_peaks_at_most_2_5_times_its_result(self):
+        shuffled_order(10, 1)  # so nothing a first call allocates counts
+        tracemalloc.start()
+        try:
+            order = shuffled_order(1_000_000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * order.nbytes, peak / order.nbytes
+
     def test_shuffled_order_refuses_n_of_2_to_the_31(self):
-        # refused before anything is allocated; never replay near this size
+        # refused before anything is allocated; never shuffle near this size
         with pytest.raises(ValueError, match="2147483648"):
             shuffled_order(2**31, 0)
