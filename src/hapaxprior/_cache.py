@@ -1,9 +1,12 @@
-"""Corpus coding and the content-keyed cache of its results and of fold orders.
+"""Corpus coding and the content-keyed cache of its results, of fold
+orders and of fold counts.
 
 coded() gives a corpus file's cells from the cache entry of its bytes
 under one set of coding options, or codes the file and stores them.
 ordered() gives the fold order of n tokens under a seed from its entry,
-or shuffles and stores it.  Both kinds are named by _entry_path, read
+or shuffles and stores it.  fold_counted() gives the fold counts of a
+corpus file from their entry, or codes the file (through the corpus
+entry), counts and stores them.  Every kind is named by _entry_path, read
 and checked by _payload, and written whole or not at all by _write.
 hashlib and json are imported only when something is cached.
 """
@@ -42,6 +45,11 @@ SUFFIX = ".cells"
 # order, one little-endian int32 position per token.
 ORDER_SOURCE = "crossval.py"
 ORDER_SUFFIX = ".order"
+# A fold-count entry's key hashes FOLDS_SOURCES, every module the counts
+# come from.  Its payload is the counts, k rows of 3n + 1 little-endian
+# int64s (see crossval.fold_counts).
+FOLDS_SOURCES = (*SOURCES, ORDER_SOURCE, "spectrum.py")
+FOLDS_SUFFIX = ".folds"
 # After each write the least recently used entries are removed down to this many bytes.
 LIMIT_BYTES = 1 << 30
 HASH_BLOCK = 1 << 20
@@ -227,12 +235,10 @@ def _source_digest(names: tuple[str, ...]) -> str:
     return digest.hexdigest()
 
 
-def _entry_path(cache_dir: str | os.PathLike, suffix: str, sources: tuple[str, ...], parts: Collection,
-                fh: BinaryIO | None = None) -> str | None:
+def _entry_path(cache_dir: str | os.PathLike, suffix: str, sources: tuple[str, ...], parts: Collection) -> str | None:
     """The path in cache_dir of the entry named by the sha256 of a JSON text
-    of suffix, the digest of sources and parts, then, given fh (a regular
-    file opened at its start, and left there), the file's bytes; None when
-    sources cannot be read."""
+    of suffix, the digest of sources and parts; None when sources cannot be
+    read."""
     try:
         source = _source_digest(sources)
     except OSError:  # an install without its source: nothing to key by
@@ -240,15 +246,35 @@ def _entry_path(cache_dir: str | os.PathLike, suffix: str, sources: tuple[str, .
     import hashlib
     import json
 
-    # a JSON text holds no raw line break, so the parts end at the first b"\n"
-    digest = hashlib.sha256(json.dumps([suffix, source, *parts], sort_keys=True).encode() + b"\n")
-    if fh is not None:
-        block = bytearray(HASH_BLOCK)
-        view = memoryview(block)
-        while size := fh.readinto(block):
-            digest.update(view[:size])
-        fh.seek(0)
+    digest = hashlib.sha256(json.dumps([suffix, source, *parts], sort_keys=True).encode())
     return os.path.join(cache_dir, digest.hexdigest() + suffix)
+
+
+def _hashed(fh: BinaryIO, cache_dir: str | os.PathLike | None) -> tuple[os.stat_result, str | None]:
+    """The status of fh, opened at its start (and left there), and, given a
+    cache_dir and a regular file, the sha256 of its bytes in hex, which is
+    in the key of every entry of those bytes; else None."""
+    info = os.fstat(fh.fileno())
+    if cache_dir is None or not stat.S_ISREG(info.st_mode):
+        return info, None
+    import hashlib
+
+    digest = hashlib.sha256()
+    block = bytearray(HASH_BLOCK)
+    view = memoryview(block)
+    while size := fh.readinto(block):
+        digest.update(view[:size])
+    fh.seek(0)
+    return info, digest.hexdigest()
+
+
+def _corpus_parts(job: tuple, content: str) -> list:
+    """The parts of the key of a corpus entry of the bytes whose sha256 is
+    content, coded with job: the coding options and the interpreter's
+    Unicode database, which code_part's str.strip and str.lower follow."""
+    import unicodedata
+
+    return [*job[1:], unicodedata.unidata_version, content]
 
 
 def _payload(entry: str) -> memoryview | None:
@@ -307,6 +333,28 @@ def _write(entry: str, chunks: tuple) -> None:
         prune(directory, os.path.basename(entry))
 
 
+def _coded(fh: BinaryIO, path: Path, job: tuple, cache_dir: str | os.PathLike | None, info: os.stat_result,
+           content: str | None) -> tuple[tuple[np.ndarray, tuple[str, ...], int], bool]:
+    """(coded()'s result, whether it is the coding of the bytes whose sha256
+    is content): given content (see _hashed), a hit, or a miss of a file
+    whose signature after the coding is still info's.  Only such a result
+    is stored."""
+    n = job[2]  # code_part's
+    entry = content and _entry_path(cache_dir, SUFFIX, SOURCES, _corpus_parts(job, content))
+    if entry and (payload := _payload(entry)) is not None and (hit := _cells(payload, n)):
+        return hit, True
+    cells, forms, dropped = _code(path, fh, job)
+    named = False
+    if content:
+        with suppress(OSError):  # a file that cannot be stat'ed now is not named by its hash
+            named = _signature(os.fstat(fh.fileno())) == _signature(info) == _signature(os.stat(path))
+    if entry and named:
+        packed = cells.astype(f"<u{np.min_scalar_type(cells.max(initial=0)).itemsize}")
+        joined = "\n".join(forms).encode("utf-8")  # a form never holds a line break
+        _write(entry, (FIELDS.pack(packed.itemsize, len(packed), dropped), packed, joined))
+    return (cells, forms, dropped), named
+
+
 def coded(fh: BinaryIO, path: Path, job: tuple,
           cache_dir: str | os.PathLike | None) -> tuple[np.ndarray, tuple[str, ...], int]:
     """(cells, forms, dropped) of the corpus file fh, opened at path at its
@@ -322,22 +370,32 @@ def coded(fh: BinaryIO, path: Path, job: tuple,
     are not UTF-8 _lines.BadBytes counting the bytes before their piece
     after a leading byte-order mark, and a failed read OSError.
     """
-    import unicodedata  # the database that code_part's str.strip and str.lower follow
+    return _coded(fh, path, job, cache_dir, *_hashed(fh, cache_dir))[0]
 
-    n = job[2]  # code_part's
-    info = os.fstat(fh.fileno())
-    entry = (cache_dir is not None and stat.S_ISREG(info.st_mode)
-             and _entry_path(cache_dir, SUFFIX, SOURCES, [*job[1:], unicodedata.unidata_version], fh))
-    if entry and (payload := _payload(entry)) is not None and (hit := _cells(payload, n)):
-        return hit
-    cells, forms, dropped = _code(path, fh, job)
-    if entry:
-        with suppress(OSError):  # a file that cannot be stat'ed now is not stored
-            if _signature(os.fstat(fh.fileno())) == _signature(info) == _signature(os.stat(path)):
-                packed = cells.astype(f"<u{np.min_scalar_type(cells.max(initial=0)).itemsize}")
-                joined = "\n".join(forms).encode("utf-8")  # a form never holds a line break
-                _write(entry, (FIELDS.pack(packed.itemsize, len(packed), dropped), packed, joined))
-    return cells, forms, dropped
+
+def fold_counted(fh: BinaryIO, path: Path, job: tuple, k: int, seed: int, cache_dir: str | os.PathLike | None,
+                 count: Callable[[np.ndarray, tuple[str, ...], int], np.ndarray]) -> np.ndarray:
+    """The k-fold counts under seed of the corpus file fh, opened at path at
+    its start and coded with job: count(*coded(...)), a (k, 3n + 1) int64
+    array.  With a cache_dir, a regular file's counts are read from their
+    entry there when its payload holds exactly that many (see _payload), so
+    a hit codes nothing and reads no corpus entry; else they are counted and
+    stored when the corpus counted is the coding of the bytes hashed (see
+    _coded).  The key holds the corpus key's parts, k, seed, and the
+    interpreter's major.minor version, since the fold order is
+    random.shuffle's.  coded()'s errors are raised as it raises them.
+    """
+    info, content = _hashed(fh, cache_dir)
+    width = 3 * job[2] + 1
+    entry = content and _entry_path(cache_dir, FOLDS_SUFFIX, FOLDS_SOURCES,
+                                    [*_corpus_parts(job, content), k, seed, sys.version_info[:2]])
+    if entry and (payload := _payload(entry)) is not None and len(payload) == 8 * k * width:
+        return np.frombuffer(payload, "<i8").reshape(k, width)
+    corpus, named = _coded(fh, path, job, cache_dir, info, content)
+    counts = count(*corpus)
+    if entry and named:
+        _write(entry, (counts.astype("<i8"),))
+    return counts
 
 
 def ordered(n: int, seed: int, cache_dir: str | os.PathLike | None,
@@ -360,14 +418,14 @@ def ordered(n: int, seed: int, cache_dir: str | os.PathLike | None,
 
 
 def prune(directory: str, keep: str) -> None:
-    """Remove the least recently modified entries of directory, of corpora
-    and of fold orders alike, until they take at most LIMIT_BYTES, never the
-    entry named keep."""
+    """Remove the least recently modified entries of directory, of every
+    kind alike, until they take at most LIMIT_BYTES, never the entry named
+    keep."""
     entries = []
     total = 0
     with os.scandir(directory) as scan:
         for entry in scan:
-            if entry.name.endswith((SUFFIX, ORDER_SUFFIX)):
+            if entry.name.endswith((SUFFIX, ORDER_SUFFIX, FOLDS_SUFFIX)):
                 with suppress(OSError):  # removed meanwhile
                     info = entry.stat(follow_symlinks=False)
                     total += info.st_size

@@ -27,7 +27,7 @@ from .corpus import (
     save_class_spec,
     save_corpus,
 )
-from .crossval import CrossValError, FoldResult, check_fold_args, run_crossval
+from .crossval import CrossValError, FoldResult, _load_fold_counts, check_fold_args, crossval_report
 from .estimators import BACKOFF_SOURCES, EstimationError, backoff_priors
 from .spectrum import build_spectrum, class_proportions, running_median
 from .stats import DegenerateTTestError
@@ -72,7 +72,7 @@ def _parse_ratio(spec: ClassSpec, ratio: str | None) -> tuple[str, str]:
 
 
 def _cache_dir() -> str | None:
-    """Where coded corpora and fold orders are cached: $HAPAXPRIOR_CACHE_DIR
+    """Where coded corpora, fold orders and fold counts are cached: $HAPAXPRIOR_CACHE_DIR
     when it is set (empty: nowhere), else $XDG_CACHE_HOME/hapaxprior, else
     ~/.cache/hapaxprior; nowhere when there is no home directory."""
     directory = os.environ.get("HAPAXPRIOR_CACHE_DIR")
@@ -195,15 +195,20 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         check_fold_args(args.k, args.seed)
     except ValueError as exc:
         raise UsageError(f"--{exc}") from None
-    corpus = _load(args)
-    ratio = _parse_ratio(corpus.spec, args.ratio)
-    report = run_crossval(corpus, args.k, args.seed, ratio, cache_dir=_cache_dir())
-    num = corpus.spec.function_index(ratio[0])
+    spec = load_class_spec(args.class_spec)
+    # the counts of an earlier run on the same bytes, or counted after a load:
+    # a bad corpus is reported before a bad --ratio, and that before a k the
+    # corpus cannot be split into
+    counts = _load_fold_counts(args.corpus, spec, args.fold_case, args.k, args.seed, _cache_dir(),
+                               loaded=lambda: _parse_ratio(spec, args.ratio))
+    ratio = _parse_ratio(spec, args.ratio)
+    report = crossval_report(spec, args.seed, counts, ratio)
+    num = spec.function_index(ratio[0])
     runs = [_fold_cells(fr, num) for fr in report.folds]
     render = _render_csv if args.command == "crossval" else _render_table
     with output(args.out) as out:
         out.write(_header(args, [("k", args.k), ("ratio", "/".join(report.ratio))]))
-        render(out, corpus.spec.functions, runs)
+        render(out, spec.functions, runs)
         for name, r in (("overall", report.ttest_o), ("hapax", report.ttest_h)):
             out.write(f"# ttest {name} t={r.t:.6g} df={r.df} p={r.p_two_sided:.6g}\n")
     return 0
@@ -276,7 +281,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hapaxprior", description=__doc__.splitlines()[0],
-                     epilog="Cache of coded corpora and fold orders: $HAPAXPRIOR_CACHE_DIR"
+                     epilog="Cache of coded corpora, fold orders and fold counts: $HAPAXPRIOR_CACHE_DIR"
                             " (default $XDG_CACHE_HOME/hapaxprior, else ~/.cache/hapaxprior; empty: off)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

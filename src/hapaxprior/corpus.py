@@ -13,12 +13,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from . import _cache, _lines
 from ._writer import write_text
+
+T = TypeVar("T")
 
 
 class CorpusFormatError(ValueError):
@@ -272,12 +274,22 @@ def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False, *,
     _lines and _cache, for later loads of the same bytes; the result and the
     first error are the ones a one-pass, uncached load gives.
     """
+    cells, forms, dropped = _read(path, spec, fold_case, lambda fh, path, job: _cache.coded(fh, path, job, cache_dir))
+    # the cells hold by construction what from_columns would check
+    return TaggedCorpus._of_valid_cells(spec, forms, cells, dropped)
+
+
+def _read(path: str | Path, spec: ClassSpec, fold_case: bool, read: Callable[[BinaryIO, Path, tuple], T]) -> T:
+    """read(fh, path, job) of the corpus file at path, opened at its start,
+    where job is the coding of spec and fold_case (_cache.coded's); a bad
+    line, bytes that are not UTF-8 and a failed read raise
+    CorpusFormatError as load_corpus documents."""
     path = Path(path)
     function_of = {tag: spec.function_index(label) for tag, label in spec.tag_map.items()}
     job = (_lines.BLOCK_BYTES, function_of, spec.n_functions, spec.suffix, fold_case)  # code_part's after end
     try:
         with open(path, "rb") as fh:
-            cells, forms, dropped = _cache.coded(fh, path, job, cache_dir)
+            return read(fh, path, job)
     except _lines.BadLine as exc:
         at, reason = exc.args
         raise CorpusFormatError(f"{path}:{at + 1}: {reason}") from None
@@ -285,8 +297,6 @@ def load_corpus(path: str | Path, spec: ClassSpec, fold_case: bool = False, *,
         raise _unreadable("corpus", path, exc) from None
     except OSError as exc:
         raise CorpusFormatError(f"cannot read corpus {path}: {exc}") from exc
-    # the cells hold by construction what from_columns would check
-    return TaggedCorpus._of_valid_cells(spec, forms, cells, dropped)
 
 
 def save_corpus(corpus: TaggedCorpus, path: str | Path, header: str | None = None) -> None:

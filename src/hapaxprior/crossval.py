@@ -12,9 +12,9 @@ from typing import Callable
 import numpy as np
 
 from . import _cache
-from .corpus import TaggedCorpus, int64_array
-from .estimators import ExpectedCounts, PriorEstimate, expected_unseen_counts, hapax_mle, overall_mle
-from .spectrum import SpectrumTable, _cell_table
+from .corpus import ClassSpec, TaggedCorpus, _read, int64_array
+from .estimators import ExpectedCounts, PriorEstimate, _empty_table, _no_hapaxes, _relative, expected_unseen_counts
+from .spectrum import _cell_table
 from .stats import TTestResult, paired_t
 
 
@@ -140,9 +140,10 @@ def make_folds(corpus: TaggedCorpus, k: int, seed: int) -> FoldPlan:
     return FoldPlan(k=k, seed=seed, assignments=assignments)
 
 
-def _fold_scorer(corpus: TaggedCorpus) -> Callable[[int, np.ndarray], FoldResult]:
-    """The fold computation shared by run_fold and run_crossval:
-    score(fold, positions) scores the fold whose tokens are at positions.
+def _fold_counter(corpus: TaggedCorpus) -> Callable[[np.ndarray], np.ndarray]:
+    """The fold counting shared by run_fold and fold_counts: count(positions)
+    is the fold_counts row of the fold whose held-out tokens are at
+    positions.
 
     The whole-corpus form-by-function table is counted once from
     corpus.cells; a fold's training table is that table minus the counts of
@@ -152,26 +153,74 @@ def _fold_scorer(corpus: TaggedCorpus) -> Callable[[int, np.ndarray], FoldResult
     """
     full = _cell_table(corpus, corpus.cells)
 
-    def score(fold: int, positions: np.ndarray) -> FoldResult:
+    def count(positions: np.ndarray) -> np.ndarray:
         held = _cell_table(corpus, corpus.cells[positions])
-        train = SpectrumTable._of_valid_counts(corpus.spec, corpus.forms, full - held)
-        omle = overall_mle(train)
-        hmle = hapax_mle(train)
+        train = full - held
+        types = train.sum(axis=1)
         # N0: the held-out tokens of forms with no training token
-        unseen = (train.type_totals == 0) @ held
-        n_unseen = int(unseen.sum())
-        return FoldResult(
-            run=fold,
-            train_totals=train.token_totals,
-            hapax_totals=train.hapax_totals,
-            omle=omle,
-            hmle=hmle,
-            unseen_observed=tuple(unseen.tolist()),
-            expected_o=expected_unseen_counts(omle, n_unseen),
-            expected_h=expected_unseen_counts(hmle, n_unseen),
-        )
+        return np.concatenate((train.sum(axis=0), (types == 1) @ train, (types == 0) @ held,
+                               [np.count_nonzero(types)]))
 
-    return score
+    return count
+
+
+def fold_counts(corpus: TaggedCorpus, k: int, seed: int, cache_dir: str | os.PathLike | None = None) -> np.ndarray:
+    """What each of the k folds of run_crossval is estimated from, as a
+    read-only (k, 3n + 1) int64 array, n = corpus.spec.n_functions.  Row
+    f - 1 holds fold f's training token totals per function, its training
+    hapax totals per function and its held-out tokens of forms unseen in
+    training per function, then its number of training types.
+
+    The folds are make_folds': with a cache_dir their order is read from its
+    entry there, or shuffled and stored (see _cache.ordered).  A k the
+    corpus cannot be split into, and a negative seed, raise CrossValError
+    with fold None.
+    """
+    try:
+        order, bounds = _folds(len(corpus), k, seed, cache_dir)
+    except ValueError as exc:
+        raise CrossValError(None, f"cannot split into folds: {exc}") from exc
+    count = _fold_counter(corpus)
+    counts = np.array([count(order[start:end]) for start, end in zip(bounds, bounds[1:])])
+    counts.flags.writeable = False
+    return counts
+
+
+def _load_fold_counts(path: str | os.PathLike, spec: ClassSpec, fold_case: bool, k: int, seed: int,
+                      cache_dir: str | os.PathLike | None, loaded: Callable[[], object]) -> np.ndarray:
+    """fold_counts(load_corpus(path, spec, fold_case), k, seed, cache_dir),
+    with loaded() called between the load and the counting.  With a
+    cache_dir the counts are read from their entry there when they are
+    cached, so that no corpus is loaded, or counted and stored (see
+    _cache.fold_counted); unlike the corpus and order entries, only the
+    command line keeps them."""
+    def count(cells: np.ndarray, forms: tuple[str, ...], dropped: int) -> np.ndarray:
+        loaded()
+        return fold_counts(TaggedCorpus._of_valid_cells(spec, forms, cells, dropped), k, seed, cache_dir)
+
+    return _read(path, spec, fold_case,
+                 lambda fh, path, job: _cache.fold_counted(fh, path, job, k, seed, cache_dir, count))
+
+
+def _fold_result(run: int, row: list[int]) -> FoldResult:
+    """Fold run's FoldResult from its fold_counts row: both estimates and the
+    expected counts of its unseen tokens.  A training part without tokens
+    raises EstimationError, and one without hapaxes NoHapaxesError."""
+    n = len(row) // 3
+    train, hapax, unseen, (types,) = row[:n], row[n:2 * n], row[2 * n:3 * n], row[3 * n:]
+    omle = _relative(train, "overall", _empty_table)
+    hmle = _relative(hapax, "hapax", lambda: _no_hapaxes(sum(train), types))
+    n_unseen = sum(unseen)
+    return FoldResult(
+        run=run,
+        train_totals=tuple(train),
+        hapax_totals=tuple(hapax),
+        omle=omle,
+        hmle=hmle,
+        unseen_observed=tuple(unseen),
+        expected_o=expected_unseen_counts(omle, n_unseen),
+        expected_h=expected_unseen_counts(hmle, n_unseen),
+    )
 
 
 def run_fold(corpus: TaggedCorpus, plan: FoldPlan, fold: int) -> FoldResult:
@@ -187,46 +236,39 @@ def run_fold(corpus: TaggedCorpus, plan: FoldPlan, fold: int) -> FoldResult:
         raise ValueError(f"fold must be in 1..{plan.k}, got {fold}")
     if len(plan.assignments) != len(corpus):
         raise ValueError("plan does not cover this corpus")
-    return _fold_scorer(corpus)(fold, np.flatnonzero(plan.assignments == fold))
+    return _fold_result(fold, _fold_counter(corpus)(np.flatnonzero(plan.assignments == fold)).tolist())
 
 
-def run_crossval(
-    corpus: TaggedCorpus,
-    k: int,
-    seed: int,
-    ratio: tuple[str, str] | None = None,
-    *,
-    cache_dir: str | os.PathLike | None = None,
-) -> CrossValReport:
-    """Run all k folds and the paired ratio t-tests for both estimators.
-
-    Per fold, the observed ratio is unseen_observed[num]/unseen_observed[den]
-    and each expected ratio uses the unrounded expected counts.  A fold error
-    raises CrossValError naming the fold; zero ratio denominators raise one
-    that lists every such fold with its counts and names the first.  A k the
-    corpus cannot be split into raises CrossValError with fold None; equal
-    ratio labels raise ValueError.  With a cache_dir, the fold order is read
-    from its entry there, or shuffled and stored, as load_corpus's
-    cache_dir does for the corpus; the report is the same either way.
-    """
-    spec = corpus.spec
+def _ratio(spec: ClassSpec, ratio: tuple[str, str] | None) -> tuple[tuple[str, str], int, int]:
+    """(ratio, the index of its numerator, of its denominator); None means
+    the first two functions.  An unknown label raises KeyError, two equal
+    labels ValueError."""
     if ratio is None:
         ratio = (spec.functions[0], spec.functions[1])
     num = spec.function_index(ratio[0])
     den = spec.function_index(ratio[1])
     if num == den:
         raise ValueError(f"ratio needs two different labels, got {ratio[0]!r}/{ratio[1]!r}")
+    return ratio, num, den
 
-    # the folds of make_folds(corpus, k, seed), as slices of the shuffle
-    try:
-        order, bounds = _folds(len(corpus), k, seed, cache_dir)
-    except ValueError as exc:
-        raise CrossValError(None, f"cannot split into folds: {exc}") from exc
-    score = _fold_scorer(corpus)
+
+def crossval_report(spec: ClassSpec, seed: int, counts: np.ndarray,
+                    ratio: tuple[str, str] | None = None) -> CrossValReport:
+    """The CrossValReport of the folds whose fold_counts are counts, a corpus
+    of spec split under seed: each fold's estimates and expected counts, and
+    the paired ratio t-tests for both estimators.
+
+    Per fold, the observed ratio is unseen_observed[num]/unseen_observed[den]
+    and each expected ratio uses the unrounded expected counts.  A fold error
+    raises CrossValError naming the fold; zero ratio denominators raise one
+    that lists every such fold with its counts and names the first.  Ratio
+    labels are checked as run_crossval checks them.
+    """
+    ratio, num, den = _ratio(spec, ratio)
     folds: list[FoldResult] = []
-    for fold in range(1, k + 1):
+    for fold, row in enumerate(counts.tolist(), start=1):
         try:
-            folds.append(score(fold, order[bounds[fold - 1]:bounds[fold]]))
+            folds.append(_fold_result(fold, row))
         except (ValueError, ArithmeticError) as exc:
             raise CrossValError(fold, str(exc)) from exc
 
@@ -241,8 +283,8 @@ def run_crossval(
     if degenerate:
         raise CrossValError(
             min(degenerate),
-            f"zero denominator in ratio {ratio[0]}/{ratio[1]} in {len(degenerate)} of {k} folds: "
-            + ", ".join(f"fold {run} ({counts})" for run, counts in degenerate.items()),
+            f"zero denominator in ratio {ratio[0]}/{ratio[1]} in {len(degenerate)} of {len(folds)} folds: "
+            + ", ".join(f"fold {run} ({listed})" for run, listed in degenerate.items()),
         )
     observed = [fr.unseen_observed[num] / fr.unseen_observed[den] for fr in folds]
     ratios_o = [fr.expected_o.real[num] / fr.expected_o.real[den] for fr in folds]
@@ -250,10 +292,33 @@ def run_crossval(
 
     return CrossValReport(
         spec_name=spec.name,
-        k=k,
+        k=len(folds),
         seed=seed,
         ratio=ratio,
         folds=tuple(folds),
         ttest_o=paired_t(observed, ratios_o),
         ttest_h=paired_t(observed, ratios_h),
     )
+
+
+def run_crossval(
+    corpus: TaggedCorpus,
+    k: int,
+    seed: int,
+    ratio: tuple[str, str] | None = None,
+    *,
+    cache_dir: str | os.PathLike | None = None,
+) -> CrossValReport:
+    """Run all k folds and the paired ratio t-tests for both estimators:
+    crossval_report of fold_counts.
+
+    Equal ratio labels raise ValueError and an unknown one KeyError, before
+    any fold is counted; a k the corpus cannot be split into raises
+    CrossValError with fold None (see fold_counts), and a fold error or a
+    zero ratio denominator one naming its fold (see crossval_report).  With
+    a cache_dir, the fold order is read from its entry there, or shuffled
+    and stored, as load_corpus's cache_dir does for the corpus; the report
+    is the same either way.
+    """
+    _ratio(corpus.spec, ratio)
+    return crossval_report(corpus.spec, seed, fold_counts(corpus, k, seed, cache_dir), ratio)

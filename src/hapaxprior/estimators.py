@@ -76,22 +76,28 @@ def _relative(counts: Sequence[int], source: str, empty: Callable[[], Exception]
     return PriorEstimate(tuple(c / support for c in counts), source, support)
 
 
+def _empty_table() -> EstimationError:
+    return EstimationError("cannot estimate a prior from an empty table")
+
+
 def overall_mle(table: SpectrumTable) -> PriorEstimate:
     """Relative function frequencies over all tokens of the class."""
-    return _relative(table.token_totals, "overall",
-                     lambda: EstimationError("cannot estimate a prior from an empty table"))
+    return _relative(table.token_totals, "overall", _empty_table)
 
 
-def _no_hapaxes(table: SpectrumTable) -> NoHapaxesError:
+def _no_hapaxes(n_tokens: int, n_types: int) -> NoHapaxesError:
     return NoHapaxesError(
-        "hapax-based estimator undefined: no form occurs exactly once among"
-        f" {table.n_tokens} tokens of {(table.type_totals > 0).sum()} types"
+        f"hapax-based estimator undefined: no form occurs exactly once among {n_tokens} tokens of {n_types} types"
     )
+
+
+def _no_table_hapaxes(table: SpectrumTable) -> NoHapaxesError:
+    return _no_hapaxes(table.n_tokens, (table.type_totals > 0).sum())
 
 
 def hapax_mle(table: SpectrumTable) -> PriorEstimate:
     """Relative function frequencies among the hapax legomena only."""
-    return _relative(table.hapax_totals, "hapax", lambda: _no_hapaxes(table))
+    return _relative(table.hapax_totals, "hapax", lambda: _no_table_hapaxes(table))
 
 
 def form_mle(table: SpectrumTable, form: str) -> PriorEstimate:
@@ -113,7 +119,7 @@ def _backoff(
     rows = np.array([get(form, -1) for form in forms], dtype=np.int64)  # -1: an unseen form
     hapax = rows < 0
     hapax[~hapax] = table.type_totals[rows[~hapax]] < threshold
-    fallback = _relative(table.hapax_totals, "backoff-hapax", lambda: _no_hapaxes(table)) if hapax.any() else None
+    fallback = _relative(table.hapax_totals, "backoff-hapax", lambda: _no_table_hapaxes(table)) if hapax.any() else None
     counts = table.counts[rows[~hapax]]
     support = np.zeros(len(rows), dtype=np.int64)
     probabilities = np.zeros((len(rows), table.spec.n_functions))

@@ -986,9 +986,10 @@ class TestReadme:
                     stdout.append(out)
                 outputs[name] = stdout, {path.name: path.read_bytes() for path in directory.iterdir()}
                 if name == "cold":
-                    # corpus entries, and one fold order that crossval and report share
+                    # corpus entries, and one fold order and one set of fold counts that crossval and report share
                     entries = sorted(cache.iterdir())
-                    assert [entry.suffix for entry in entries].count(".order") == 1 and len(entries) > 1
+                    suffixes = [entry.suffix for entry in entries]
+                    assert suffixes.count(".order") == suffixes.count(".folds") == 1 and ".cells" in suffixes
                     for entry in entries:
                         os.utime(entry, (old, old))
                         held.enter_context(open(entry, "rb"))  # so that no later file can take its inode
@@ -997,4 +998,6 @@ class TestReadme:
         assert len(outputs["cold"][1]) == 3 and all(outputs["cold"][0][1:])  # synth's three files
         # a hit refreshes its entry's mtime; a miss, or a hit that rewrote it, would replace the file
         assert {entry.name: entry.stat().st_ino for entry in cache.iterdir()} == cold
-        assert all(entry.stat().st_mtime > old for entry in cache.iterdir())
+        # the warm crossval and report read their fold counts, so no warm run reads the order
+        assert {entry.name: entry.stat().st_mtime > old for entry in cache.iterdir()} == {
+            name: not name.endswith(".order") for name in cold}

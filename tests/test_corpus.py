@@ -1249,3 +1249,280 @@ class TestOrderCache:
                 assert not used & package, (name, used & package)
                 todo += sorted(used & top.keys())
         assert reached == {"shuffled_order"}
+
+
+def folds_entries(cache):
+    return sorted(cache.glob("*" + _cache.FOLDS_SUFFIX)) if cache.exists() else []
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count the corpora whose folds crossval counts; set counted.forbid to
+    make counting fail, so the counts must come from the cache."""
+    counter = crossval_module._fold_counter
+    record = SimpleNamespace(count=0, forbid=False)
+
+    def counting(corpus):
+        assert not record.forbid, "counted folds that the cache holds"
+        record.count += 1
+        return counter(corpus)
+
+    monkeypatch.setattr(crossval_module, "_fold_counter", counting)
+    return record
+
+
+class TestFoldsCache:
+    K, SEED = 5, 3
+    ROW_BYTES = 8 * (3 * 2 + 1)  # two functions
+
+    @pytest.fixture
+    def files(self, tmp_path, ab_spec, monkeypatch):
+        """A corpus of 200 tokens, its class file, and the cache of every run."""
+        files = SimpleNamespace(spec=tmp_path / "class.spec", corpus=tmp_path / "corpus.tsv", cache=tmp_path / "cache")
+        save_class_spec(ab_spec, files.spec)
+        save_corpus(hapax_tail_corpus(ab_spec, random.Random(8), 200), files.corpus)
+        monkeypatch.setenv("HAPAXPRIOR_CACHE_DIR", str(files.cache))
+        return files
+
+    def run(self, capsys, files, *options, command="crossval", off=False):
+        """(exit code, stdout, stderr) of command on files, --k K and --seed SEED unless options say otherwise;
+        with off, the cache is off."""
+        argv = [command, "--corpus", str(files.corpus), "--class-spec", str(files.spec),
+                "--k", str(self.K), "--seed", str(self.SEED), *options]
+        with pytest.MonkeyPatch.context() as patch:
+            if off:
+                patch.setenv("HAPAXPRIOR_CACHE_DIR", "")
+            code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_crossval_and_report_share_one_entry_that_a_hit_reads_alone(self, capsys, files, ab_spec, coded,
+                                                                         counted):
+        off = {command: self.run(capsys, files, command=command, off=True) for command in ("crossval", "report")}
+        assert counted.count == 2 and not files.cache.exists()
+        assert self.run(capsys, files) == off["crossval"]
+        [entry] = folds_entries(files.cache)
+        # the payload is fold_counts, row by row, as little-endian int64
+        counts = crossval_module.fold_counts(load_corpus(files.corpus, ab_spec), self.K, self.SEED)
+        assert entry.read_bytes()[_cache.DIGEST_BYTES:] == counts.astype("<i8").tobytes()
+        coded.forbid = counted.forbid = True
+        for command in ("crossval", "report"):
+            assert self.run(capsys, files, command=command) == off[command]
+        assert folds_entries(files.cache) == [entry]
+
+    def test_a_warm_run_reads_only_its_counts(self, capsys, files, coded):
+        cold = {command: self.run(capsys, files, command=command) for command in ("crossval", "report")}
+        for entry in cache_entries(files.cache) + order_entries(files.cache):
+            entry.unlink()
+        [entry] = folds_entries(files.cache)
+        assert sorted(files.cache.iterdir()) == [entry]
+        coded.count = 0
+        for command in ("crossval", "report"):
+            assert self.run(capsys, files, command=command) == cold[command]
+        # nothing coded, and neither a corpus nor an order entry made again
+        assert coded.count == 0 and sorted(files.cache.iterdir()) == [entry]
+
+    def test_a_miss_hashes_the_corpus_bytes_once(self, capsys, files, monkeypatch):
+        mark = b"# hashed once\n"  # a comment: in the corpus bytes, in no entry's payload
+        files.corpus.write_bytes(mark + files.corpus.read_bytes())
+        sha256, fed = hashlib.sha256, []
+
+        class Recording:
+            def __init__(self, data=b""):
+                self.hash, self.data = sha256(data), bytearray(data)
+                fed.append(self.data)
+
+            def update(self, data):
+                self.data += memoryview(data).tobytes()
+                self.hash.update(data)
+
+            def digest(self):
+                return self.hash.digest()
+
+            def hexdigest(self):
+                return self.hash.hexdigest()
+
+        monkeypatch.setattr(hashlib, "sha256", Recording)
+        for run in ("miss", "hit"):
+            fed.clear()
+            assert self.run(capsys, files)[0] == 0
+            assert sum(mark in data for data in fed) == 1, run
+        assert len(folds_entries(files.cache)) == 1
+
+    @staticmethod
+    def redigested(payload: bytes) -> bytes:
+        return hashlib.sha256(payload).digest() + payload
+
+    @pytest.mark.parametrize("damage", [
+        lambda entry: entry[:-1],
+        lambda entry: TestFoldsCache.redigested(entry[_cache.DIGEST_BYTES:-TestFoldsCache.ROW_BYTES]),
+        lambda entry: TestFoldsCache.redigested(entry[_cache.DIGEST_BYTES:] + entry[-TestFoldsCache.ROW_BYTES:]),
+        lambda entry: b"",
+        lambda entry: TestCache.flipped(entry, 0),
+        lambda entry: TestCache.flipped(entry, len(entry) - 9),
+    ], ids=["truncated", "a row short", "a row long", "empty", "digest bit", "payload bit"])
+    def test_a_bad_entry_misses_and_is_rewritten(self, capsys, files, counted, damage):
+        want = self.run(capsys, files)
+        [entry] = folds_entries(files.cache)
+        good = entry.read_bytes()
+        assert len(good) == _cache.DIGEST_BYTES + self.K * self.ROW_BYTES
+        entry.write_bytes(damage(good))
+        assert self.run(capsys, files) == want
+        assert counted.count == 2 and folds_entries(files.cache) == [entry]
+        assert entry.read_bytes() == good
+        counted.forbid = True
+        assert self.run(capsys, files) == want
+
+    def test_a_cache_that_cannot_be_written_gives_the_same_output(self, capsys, files, tmp_path, monkeypatch):
+        want = self.run(capsys, files, off=True)
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"")
+        for cache in (blocker, blocker / "cache"):  # a file, and a directory under a file
+            monkeypatch.setenv("HAPAXPRIOR_CACHE_DIR", str(cache))
+            assert self.run(capsys, files) == want
+        assert blocker.read_bytes() == b""
+        # a write that fails half-way (here at the rename) leaves nothing behind
+        monkeypatch.setenv("HAPAXPRIOR_CACHE_DIR", str(files.cache))
+
+        def no_space(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(_cache.os, "replace", no_space)
+        assert self.run(capsys, files) == want
+        assert list(files.cache.iterdir()) == []
+
+    @pytest.mark.parametrize("rewrite", ["appended", "replaced"])
+    def test_a_corpus_rewritten_after_its_hash_stores_no_counts(self, capsys, files, tmp_path, monkeypatch, rewrite):
+        code = _cache._code
+        added = "rare9999\tA\n"
+
+        def rewriting(path, fh, job):  # after the hash, before the coding
+            if rewrite == "appended":
+                with open(path, "a", encoding="utf-8") as out:
+                    out.write(added)
+            else:
+                fresh = tmp_path / "fresh.tsv"
+                fresh.write_text(path.read_text(encoding="utf-8") + added, encoding="utf-8")
+                os.replace(fresh, path)
+            return code(path, fh, job)
+
+        monkeypatch.setattr(_cache, "_code", rewriting)
+        assert self.run(capsys, files)[0] == 0
+        assert folds_entries(files.cache) == [] and cache_entries(files.cache) == []
+        monkeypatch.setattr(_cache, "_code", code)
+        want = self.run(capsys, files, off=True)
+        assert self.run(capsys, files) == want and len(folds_entries(files.cache)) == 1
+
+    def test_k_seed_fold_case_and_the_tag_map_each_key_an_entry(self, capsys, files, tmp_path, counted):
+        swapped, renamed = tmp_path / "swapped.spec", tmp_path / "renamed.spec"
+        save_class_spec(ClassSpec("toy", ("a", "b"), "", {"A": "b", "B": "a"}), swapped)
+        save_class_spec(ClassSpec("renamed", ("a", "b"), "", {"A": "a", "B": "b"}), renamed)
+        variants = [[], ["--k", "4"], ["--seed", "4"], ["--fold-case"], ["--class-spec", str(swapped)]]
+        wants = []
+        for i, options in enumerate(variants, 1):
+            wants.append(self.run(capsys, files, *options, off=True))
+            assert wants[-1][0] == 0 and self.run(capsys, files, *options) == wants[-1]
+            assert len(folds_entries(files.cache)) == i, options
+        counted.forbid = True
+        for options, want in zip(variants, wants):
+            assert self.run(capsys, files, *options) == want
+        # neither the ratio nor the class name is counted: they share the entry
+        for options in (["--ratio", "b/a"], ["--class-spec", str(renamed)]):
+            counted.forbid = False
+            want = self.run(capsys, files, *options, off=True)
+            counted.forbid = True
+            assert want[0] == 0 and self.run(capsys, files, *options) == want, options
+        assert len(folds_entries(files.cache)) == len(variants)
+
+    def test_a_bad_corpus_is_reported_before_a_bad_ratio_and_that_before_a_bad_k(self, capsys, files, tmp_path):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("rare1\tA\nno tab here\n", encoding="utf-8")
+        want = self.run(capsys, files, "--corpus", str(bad), "--ratio", "a/zzz", off=True)
+        assert want[:2] == (2, "") and want[2].startswith(f"hapaxprior: {bad}:2: ")
+        assert self.run(capsys, files, "--corpus", str(bad), "--ratio", "a/zzz") == want
+        # a good corpus: the ratio, where k exceeds the token count (a miss) and where the counts are cached
+        assert self.run(capsys, files)[0] == 0
+        for k in ("500", str(self.K)):
+            want = self.run(capsys, files, "--k", k, "--ratio", "a/zzz", off=True)
+            assert want[0] == 1 and "--ratio label 'zzz'" in want[2]
+            assert self.run(capsys, files, "--k", k, "--ratio", "a/zzz") == want, k
+        assert self.run(capsys, files, "--k", "500") == (
+            2, "", "hapaxprior: cannot split into folds: k = 500 exceeds the token count 200\n")
+
+    @pytest.mark.parametrize("pairs, seed, message", [
+        ([("w", 0)] * 6 + [("x", 1)] * 6, 0, "fold 1: hapax-based estimator undefined: no form occurs exactly once"),
+        ([(f"r{i}", 0) for i in range(20)] + [("F", 1)] * 10 + [("G", 1)] * 10, 1, "zero denominator in ratio a/b"),
+    ], ids=["hapax-free", "zero denominator"])
+    def test_a_failed_fold_prints_the_same_line_on_a_hit(self, capsys, files, ab_spec, counted, pairs, seed, message):
+        save_corpus(corpus_of(ab_spec, pairs), files.corpus)
+        options = ["--k", "2", "--seed", str(seed)]
+        want = self.run(capsys, files, *options, off=True)
+        assert want[:2] == (2, "") and message in want[2] and want[2].count("\n") == 1
+        # the counts are stored before their estimates fail
+        assert self.run(capsys, files, *options) == want and len(folds_entries(files.cache)) == 1
+        counted.forbid = True
+        for command in ("crossval", "report"):
+            assert self.run(capsys, files, *options, command=command) == want
+
+    def test_another_interpreter_version_misses(self, capsys, files, coded, counted, monkeypatch):
+        # the fold order is random.shuffle's, which is not promised across Python versions
+        want = self.run(capsys, files)
+        [entry] = folds_entries(files.cache)
+        coded.forbid = True  # a corpus entry does not name the version
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "version_info", (sys.version_info[0], sys.version_info[1] + 1, 0, "final", 0))
+            assert self.run(capsys, files) == want
+            assert counted.count == 2 and len(folds_entries(files.cache)) == 2
+        counted.forbid = True
+        assert self.run(capsys, files) == want and entry in folds_entries(files.cache)
+
+    def test_pruning_counts_the_counts_with_the_other_kinds(self, capsys, files, tmp_path, en_spec, monkeypatch):
+        assert self.run(capsys, files)[0] == 0
+        [entry] = folds_entries(files.cache)
+        os.utime(entry, ns=(0, 10**9))  # the least recently used
+        bound = sum(path.stat().st_size for path in files.cache.iterdir())
+        path = TestCache().write(tmp_path, name="other.tsv")
+        monkeypatch.setattr(_cache, "LIMIT_BYTES", bound)
+        load_corpus(path, en_spec, cache_dir=files.cache)
+        assert folds_entries(files.cache) == [] and len(list(files.cache.iterdir())) == 3
+
+    @staticmethod
+    def reached(module: str, start: str) -> dict[str, str]:
+        """The package names that start, a top-level function of module (a
+        file of the package), and every top-level name it reaches use,
+        each with the file it is imported from; annotations do not count."""
+        tree = ast.parse((Path(_cache.__file__).parent / module).read_text(encoding="utf-8"))
+        imported, top = {}, {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported.update((alias.asname or alias.name, f"{node.module or alias.name}.py") for alias in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                top[node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    top.update({name.id: node for name in ast.walk(target) if isinstance(name, ast.Name)})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arg):
+                node.annotation = None
+            elif isinstance(node, ast.FunctionDef):
+                node.returns = None
+            elif isinstance(node, ast.AnnAssign):
+                node.annotation = ast.Constant(None)
+        used, reached, todo = {}, set(), [start]
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                names = {node.id for node in ast.walk(top[name]) if isinstance(node, ast.Name)}
+                used.update((name, imported[name]) for name in names & imported.keys())
+                todo += sorted(names & top.keys())
+        return used
+
+    def test_the_folds_key_covers_the_counting(self):
+        # the key hashes FOLDS_SOURCES: fold_counts, and all it reaches, use no other module of the package
+        used = self.reached("crossval.py", "fold_counts")
+        assert used == {"_cache": "_cache.py", "_cell_table": "spectrum.py"}
+        assert self.reached("spectrum.py", "_cell_table") == {}
+        assert set(used.values()) <= set(_cache.FOLDS_SOURCES) and set(_cache.SOURCES) <= set(_cache.FOLDS_SOURCES)
+        # the check sees what the estimates use: the report builder reaches estimators and stats
+        assert {"estimators.py", "stats.py"} <= set(self.reached("crossval.py", "crossval_report").values())

@@ -5,9 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hapaxprior import (
+    ClassSpec,
     CrossValError,
     FoldPlan,
     NoHapaxesError,
@@ -17,7 +18,7 @@ from hapaxprior import (
     run_fold,
 )
 from hapaxprior import crossval as crossval_module
-from hapaxprior.crossval import shuffled_order
+from hapaxprior.crossval import crossval_report, fold_counts, shuffled_order
 
 import oracles
 from conftest import corpus_of, random_pairs
@@ -237,13 +238,9 @@ class TestRunCrossval:
         want = [run_fold(corpus, plan, fold) for fold in range(1, k + 1)]
         # every fold run_crossval scores, also where a zero ratio denominator ends the run
         scored = []
-        scorer = crossval_module._fold_scorer
-
-        def recording_scorer(corpus):
-            score = scorer(corpus)
-            return lambda fold, positions: scored.append(score(fold, positions)) or scored[-1]
-
-        monkeypatch.setattr(crossval_module, "_fold_scorer", recording_scorer)
+        build = crossval_module._fold_result
+        monkeypatch.setattr(crossval_module, "_fold_result",
+                            lambda run, row: scored.append(build(run, row)) or scored[-1])
         try:
             report = run_crossval(corpus, k, seed)
         except CrossValError as exc:
@@ -254,12 +251,16 @@ class TestRunCrossval:
 
     def test_every_training_table_is_column_major(self, ab_spec, monkeypatch):
         # a row-major table makes the folds' column sums several times slower
-        trained = []
-        mle = crossval_module.overall_mle
-        monkeypatch.setattr(crossval_module, "overall_mle", lambda table: trained.append(table) or mle(table))
+        tables = []
+        cell_table = crossval_module._cell_table
+        monkeypatch.setattr(crossval_module, "_cell_table",
+                            lambda corpus, cells: tables.append(cell_table(corpus, cells)) or tables[-1])
         corpus = hapax_rich_corpus(ab_spec, random.Random(7), n=60)
         run_crossval(corpus, 5, 3)
-        assert len(trained) == 5 and all(table.counts.flags.f_contiguous for table in trained)
+        # the whole-corpus table, then each fold's held-out table; a training table is their difference
+        full, *held = tables
+        assert len(held) == 5 and all(table.flags.f_contiguous and not table.flags.c_contiguous for table in tables)
+        assert all((full - table).flags.f_contiguous for table in held)
 
     @pytest.mark.parametrize("k, message", [
         (1, "cannot split into folds: k must be >= 2, got 1"),
@@ -429,6 +430,41 @@ class TestRunCrossvalMatchesOracle:
         wants, outcome = self.outcome(ab_spec, [("w", 0)] * 6 + [("x", 1)] * 6, 2, 0)
         assert outcome == "hapax-free"
         assert wants == [None, None]
+
+
+class TestFoldCounts:
+    SPEC = ClassSpec(name="toy", functions=("a", "b"), suffix="", tag_map={"A": "a", "B": "b"})
+
+    @staticmethod
+    def outcome(build):
+        """build()'s report, or the type, text and fold of its CrossValError."""
+        try:
+            return build()
+        except CrossValError as exc:
+            return type(exc), str(exc), exc.fold
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(tokens=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 1)), min_size=2, max_size=40),
+           data=st.data())
+    def test_each_row_is_the_oracles_recount_and_the_report_is_run_crossvals(self, tokens, data):
+        pairs = [(f"f{form}", function) for form, function in tokens]
+        k = data.draw(st.integers(2, len(pairs)), label="k")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        ratio = data.draw(st.sampled_from([None, ("b", "a")]), label="ratio")
+        corpus = corpus_of(self.SPEC, pairs)
+        counts = fold_counts(corpus, k, seed)
+        assert counts.shape == (k, 7) and counts.dtype == np.int64 and not counts.flags.writeable
+        assignments = make_folds(corpus, k, seed).assignments.tolist()
+        for fold, row in enumerate(counts.tolist(), start=1):
+            train = [pair for pair, assigned in zip(pairs, assignments) if assigned != fold]
+            assert row[6] == len({form for form, _ in train})
+            want = oracles.fold_bookkeeping(pairs, assignments, fold, 2)
+            if want is None:  # no training hapax: the oracle stops before the unseen tokens
+                assert row[:4] == oracles.function_totals(train, 2) + [0, 0]
+            else:
+                assert row[:6] == want["train_totals"] + want["hapax_totals"] + want["unseen"]
+        report = self.outcome(lambda: crossval_report(self.SPEC, seed, counts, ratio))
+        assert report == self.outcome(lambda: run_crossval(corpus, k, seed, ratio))
 
 
 class TestShuffle:
