@@ -8,7 +8,9 @@ or shuffles and stores it.  fold_counted() gives the fold counts of a
 corpus file from their entry, or codes the file (through the corpus
 entry), counts and stores them.  Every kind is named by _entry_path, read
 and checked by _payload, and written whole or not at all by _write.
-hashlib and json are imported only when something is cached.
+hashlib and json are imported only when something is cached, and numpy
+only when something is coded, counted, shuffled or read as an array: a
+fold-count hit imports no numpy.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ import sys
 from contextlib import suppress
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import BinaryIO, Callable, Collection
-
-import numpy as np
+from typing import TYPE_CHECKING, BinaryIO, Callable, Collection, Sequence
 
 from . import _lines
 from ._writer import writing
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The sha256 of SOURCES is in every key and is every entry's only version:
 # an edit to the coder or to the entry layout re-keys, so an edited coder
@@ -61,6 +64,8 @@ def _numbers_in_order(form_ids: np.ndarray, n_forms: int) -> bool:
     """Whether form_ids number n_forms forms in first-occurrence order, each
     of them used: every id is at most one above every id before it, and the
     largest is n_forms - 1."""
+    import numpy as np
+
     running = np.maximum.accumulate(np.concatenate(([-1], form_ids)))
     return form_ids.min(initial=0) >= 0 and not (np.diff(running) > 1).any() and running[-1] == n_forms - 1
 
@@ -140,6 +145,8 @@ def _helper_result(proc, n: int, max_lines: int) -> tuple[np.ndarray, list[str]]
     than max_lines lines, a code out of range, forms that are not all used in
     first-occurrence order, or a repeated form (which the merge would number
     twice if new, and give one id if not)."""
+    import numpy as np
+
     out = proc.stdout
     try:
         n_lines, n_forms, n_joined = _lines.HEADER.unpack(out.read(_lines.HEADER.size))
@@ -167,6 +174,8 @@ def _merge_forms(index: dict[str, int], forms: Collection[str], n: int, last: bo
     the part's order.  Those forms enter index, unless the part is the last:
     no later part looks them up, so they are returned as unindexed, to
     follow index's forms."""
+    import numpy as np
+
     ids = np.fromiter(map(index.get, forms, repeat(-1)), np.int64, len(forms))  # one lookup per form
     new = ids < 0
     ids[new] = np.arange(len(index), len(index) + np.count_nonzero(new))
@@ -187,6 +196,8 @@ def _code(path: Path, fh: BinaryIO, job: tuple) -> tuple[np.ndarray, tuple[str, 
     forms merge into the index of those before it, in file order, so the
     result and the first error (see coded) are the ones one pass gives.
     """
+    import numpy as np
+
     n = job[2]  # code_part's
     kept = []
     dropped = done = 0  # done: lines before the part being coded
@@ -301,6 +312,8 @@ def _cells(payload: memoryview, n: int) -> tuple[np.ndarray, tuple[str, ...], in
     cells' form ids (cells // n) do not number them in first-occurrence
     order.  Which forms they are, its writer is trusted with; its layout is
     the one this module writes, as the key says."""
+    import numpy as np
+
     if len(payload) < FIELDS.size:
         return None
     itemsize, n_cells, dropped = FIELDS.unpack_from(payload)
@@ -339,6 +352,8 @@ def _coded(fh: BinaryIO, path: Path, job: tuple, cache_dir: str | os.PathLike | 
     is content): given content (see _hashed), a hit, or a miss of a file
     whose signature after the coding is still info's.  Only such a result
     is stored."""
+    import numpy as np
+
     n = job[2]  # code_part's
     entry = content and _entry_path(cache_dir, SUFFIX, SOURCES, _corpus_parts(job, content))
     if entry and (payload := _payload(entry)) is not None and (hit := _cells(payload, n)):
@@ -374,23 +389,24 @@ def coded(fh: BinaryIO, path: Path, job: tuple,
 
 
 def fold_counted(fh: BinaryIO, path: Path, job: tuple, k: int, seed: int, cache_dir: str | os.PathLike | None,
-                 count: Callable[[np.ndarray, tuple[str, ...], int], np.ndarray]) -> np.ndarray:
+                 count: Callable[[np.ndarray, tuple[str, ...], int], np.ndarray]) -> Sequence[Sequence[int]]:
     """The k-fold counts under seed of the corpus file fh, opened at path at
-    its start and coded with job: count(*coded(...)), a (k, 3n + 1) int64
-    array.  With a cache_dir, a regular file's counts are read from their
-    entry there when its payload holds exactly that many (see _payload), so
-    a hit codes nothing and reads no corpus entry; else they are counted and
-    stored when the corpus counted is the coding of the bytes hashed (see
-    _coded).  The key holds the corpus key's parts, k, seed, and the
-    interpreter's major.minor version, since the fold order is
-    random.shuffle's.  coded()'s errors are raised as it raises them.
+    its start and coded with job, as k rows of 3n + 1 ints: count(*coded(...)),
+    a (k, 3n + 1) int64 array.  With a cache_dir, a regular file's counts
+    are read from their entry there when its payload holds exactly that many
+    (see _payload), as a list of k tuples, so a hit codes nothing, reads no
+    corpus entry and imports no numpy; else they are counted and stored when
+    the corpus counted is the coding of the bytes hashed (see _coded).  The
+    key holds the corpus key's parts, k, seed, and the interpreter's
+    major.minor version, since the fold order is random.shuffle's.
+    coded()'s errors are raised as it raises them.
     """
     info, content = _hashed(fh, cache_dir)
     width = 3 * job[2] + 1
     entry = content and _entry_path(cache_dir, FOLDS_SUFFIX, FOLDS_SOURCES,
                                     [*_corpus_parts(job, content), k, seed, sys.version_info[:2]])
     if entry and (payload := _payload(entry)) is not None and len(payload) == 8 * k * width:
-        return np.frombuffer(payload, "<i8").reshape(k, width)
+        return list(struct.iter_unpack(f"<{width}q", payload))
     corpus, named = _coded(fh, path, job, cache_dir, info, content)
     counts = count(*corpus)
     if entry and named:
@@ -407,6 +423,8 @@ def ordered(n: int, seed: int, cache_dir: str | os.PathLike | None,
     every corpus of n tokens shares the order.  It names the interpreter's
     major.minor version, since random.shuffle's results may differ between
     versions."""
+    import numpy as np
+
     entry = (cache_dir is not None and n >= 2
              and _entry_path(cache_dir, ORDER_SUFFIX, (*SOURCES, ORDER_SOURCE), [n, seed, sys.version_info[:2]]))
     if entry and (payload := _payload(entry)) is not None and len(payload) == 4 * n:

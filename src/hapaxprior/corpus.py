@@ -13,12 +13,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Sequence, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Sequence, TypeVar
 
 from . import _cache, _lines
 from ._writer import write_text
+
+if TYPE_CHECKING:
+    import numpy as np
 
 T = TypeVar("T")
 
@@ -31,6 +32,8 @@ def int64_array(values, name: str) -> np.ndarray:
     """A new int64 array of values; ValueError naming `name` unless every
     value is an integer (floats, strings and booleans are refused, not cut).
     An empty sequence gives an empty array."""
+    import numpy as np
+
     array = np.asarray(values)
     if array.size and array.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integers, not {array.dtype} values")
@@ -124,6 +127,8 @@ class TaggedCorpus:
         dropped: int = 0,
     ) -> TaggedCorpus:
         """A corpus of the cells of interned columns, validated once per form and per array."""
+        import numpy as np
+
         forms = tuple(forms)
         if isinstance(dropped, bool) or not isinstance(dropped, (int, np.integer)) or dropped < 0:
             raise ValueError(f"dropped must be a non-negative integer, not {dropped!r}")
@@ -159,6 +164,8 @@ class TaggedCorpus:
 
     @cached_property
     def tokens(self) -> tuple[TokenRecord, ...]:
+        import numpy as np
+
         # one shared record per distinct (form, function) pair
         n = self.spec.n_functions
         distinct, inverse = np.unique(self.cells, return_inverse=True)
@@ -169,6 +176,8 @@ class TaggedCorpus:
         return len(self.cells)
 
     def __eq__(self, other: object) -> bool:
+        import numpy as np
+
         if not isinstance(other, TaggedCorpus):
             return NotImplemented
         return (

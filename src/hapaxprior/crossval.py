@@ -7,15 +7,16 @@ import os
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import _cache
 from .corpus import ClassSpec, TaggedCorpus, _read, int64_array
 from .estimators import ExpectedCounts, PriorEstimate, _empty_table, _no_hapaxes, _relative, expected_unseen_counts
 from .spectrum import _cell_table
 from .stats import TTestResult, paired_t
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CrossValError(RuntimeError):
@@ -48,11 +49,15 @@ class FoldPlan:
         object.__setattr__(self, "assignments", assignments)
 
     def __eq__(self, other: object) -> bool:
+        import numpy as np
+
         if not isinstance(other, FoldPlan):
             return NotImplemented
         return (self.k, self.seed) == (other.k, other.seed) and np.array_equal(self.assignments, other.assignments)
 
     def fold_sizes(self) -> list[int]:
+        import numpy as np
+
         return np.bincount(self.assignments - 1, minlength=self.k).tolist()
 
 
@@ -95,6 +100,8 @@ def shuffled_order(n: int, seed: int) -> np.ndarray:
     as a read-only int64 array: position i of a shuffled corpus holds token
     shuffled_order(n, seed)[i].  It is that stdlib shuffle, run over int32
     positions, so n must be below 2**31 (ValueError otherwise)."""
+    import numpy as np
+
     if n >= 2**31:
         raise ValueError(f"cannot shuffle {n} items: n must be below 2**31")
     positions = array("i", range(n))
@@ -133,6 +140,8 @@ def make_folds(corpus: TaggedCorpus, k: int, seed: int) -> FoldPlan:
     Fold f holds the positions of _folds' f-th slice, the fold run_crossval
     scores as f; the assignments are a read-only int64 array.
     """
+    import numpy as np
+
     n = len(corpus)
     order, bounds = _folds(n, k, seed)
     assignments = np.empty(n, dtype=np.int64)
@@ -151,6 +160,8 @@ def _fold_counter(corpus: TaggedCorpus) -> Callable[[np.ndarray], np.ndarray]:
     spectrum, and it is non-negative by construction.  Both tables are
     column-major, and so is their difference.
     """
+    import numpy as np
+
     full = _cell_table(corpus, corpus.cells)
 
     def count(positions: np.ndarray) -> np.ndarray:
@@ -176,6 +187,8 @@ def fold_counts(corpus: TaggedCorpus, k: int, seed: int, cache_dir: str | os.Pat
     corpus cannot be split into, and a negative seed, raise CrossValError
     with fold None.
     """
+    import numpy as np
+
     try:
         order, bounds = _folds(len(corpus), k, seed, cache_dir)
     except ValueError as exc:
@@ -187,13 +200,13 @@ def fold_counts(corpus: TaggedCorpus, k: int, seed: int, cache_dir: str | os.Pat
 
 
 def _load_fold_counts(path: str | os.PathLike, spec: ClassSpec, fold_case: bool, k: int, seed: int,
-                      cache_dir: str | os.PathLike | None, loaded: Callable[[], object]) -> np.ndarray:
+                      cache_dir: str | os.PathLike | None, loaded: Callable[[], object]) -> Sequence[Sequence[int]]:
     """fold_counts(load_corpus(path, spec, fold_case), k, seed, cache_dir),
     with loaded() called between the load and the counting.  With a
     cache_dir the counts are read from their entry there when they are
-    cached, so that no corpus is loaded, or counted and stored (see
-    _cache.fold_counted); unlike the corpus and order entries, only the
-    command line keeps them."""
+    cached, as k tuples, so that no corpus is loaded and no numpy imported,
+    or counted and stored (see _cache.fold_counted); unlike the corpus and
+    order entries, only the command line keeps them."""
     def count(cells: np.ndarray, forms: tuple[str, ...], dropped: int) -> np.ndarray:
         loaded()
         return fold_counts(TaggedCorpus._of_valid_cells(spec, forms, cells, dropped), k, seed, cache_dir)
@@ -232,6 +245,8 @@ def run_fold(corpus: TaggedCorpus, plan: FoldPlan, fold: int) -> FoldResult:
     the training portion has no hapaxes.  Zero unseen tokens is a valid
     result (has_unseen is False) with all-zero counts.
     """
+    import numpy as np
+
     if not 1 <= fold <= plan.k:
         raise ValueError(f"fold must be in 1..{plan.k}, got {fold}")
     if len(plan.assignments) != len(corpus):
@@ -252,11 +267,13 @@ def _ratio(spec: ClassSpec, ratio: tuple[str, str] | None) -> tuple[tuple[str, s
     return ratio, num, den
 
 
-def crossval_report(spec: ClassSpec, seed: int, counts: np.ndarray,
+def crossval_report(spec: ClassSpec, seed: int, counts: Sequence[Sequence[int]],
                     ratio: tuple[str, str] | None = None) -> CrossValReport:
     """The CrossValReport of the folds whose fold_counts are counts, a corpus
     of spec split under seed: each fold's estimates and expected counts, and
-    the paired ratio t-tests for both estimators.
+    the paired ratio t-tests for both estimators.  counts is any sequence of
+    k rows of 3n + 1 integers, such as the read-only array fold_counts
+    returns or a list of tuples; each row is read as Python ints.
 
     Per fold, the observed ratio is unseen_observed[num]/unseen_observed[den]
     and each expected ratio uses the unrounded expected counts.  A fold error
@@ -266,7 +283,8 @@ def crossval_report(spec: ClassSpec, seed: int, counts: np.ndarray,
     """
     ratio, num, den = _ratio(spec, ratio)
     folds: list[FoldResult] = []
-    for fold, row in enumerate(counts.tolist(), start=1):
+    for fold, row in enumerate(counts, start=1):
+        row = list(map(int, row))
         try:
             folds.append(_fold_result(fold, row))
         except (ValueError, ArithmeticError) as exc:

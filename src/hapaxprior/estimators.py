@@ -9,10 +9,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .spectrum import SpectrumTable
+    from .spectrum import SpectrumTable
 
 SOURCES = frozenset({"overall", "hapax", "form", "backoff-form", "backoff-hapax"})
 # the source of a backoff estimate, indexed by whether it took the hapax route
@@ -113,6 +115,8 @@ def _backoff(
     """Whether each form takes the hapax route, the support and probabilities
     of the form-route rows (the hapax-route rows are left 0), and the hapax
     route's estimate (None when no form takes it)."""
+    import numpy as np
+
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     get = table.rows.get

@@ -8,11 +8,12 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .corpus import ClassSpec, TaggedCorpus, int64_array
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,8 @@ class SpectrumTable:
 
     @cached_property
     def types(self) -> Mapping[str, TypeCount]:
+        import numpy as np
+
         rows = np.flatnonzero(self.type_totals).tolist()
         return MappingProxyType({self.forms[i]: TypeCount(self.forms[i], per)
                                  for i, per in zip(rows, self.counts[rows].tolist())})
@@ -141,6 +144,8 @@ def _cell_table(corpus: TaggedCorpus, cells: np.ndarray) -> np.ndarray:
     The cells number a row-major table; it is copied to column-major order,
     where each function's column is contiguous, which keeps row and column
     sums fast."""
+    import numpy as np
+
     n = corpus.spec.n_functions
     return np.asfortranarray(np.bincount(cells, minlength=len(corpus.forms) * n).reshape(len(corpus.forms), n))
 
@@ -152,6 +157,8 @@ def build_spectrum(corpus: TaggedCorpus) -> SpectrumTable:
 
 def hapaxes(table: SpectrumTable) -> list[TypeCount]:
     """The types occurring exactly once, in first-occurrence order."""
+    import numpy as np
+
     rows = np.flatnonzero(table.type_totals == 1).tolist()
     return [TypeCount(table.forms[i], per) for i, per in zip(rows, table.counts[rows].tolist())]
 
@@ -163,6 +170,8 @@ def class_proportions(table: SpectrumTable, reference: str) -> list[ClassProport
     (reference tokens at f) / (f * number of types at f), so the f=1 point
     equals the hapax-based estimate of the reference function.
     """
+    import numpy as np
+
     ref = table.spec.function_index(reference)
     n_types = np.bincount(table.type_totals)
     ref_tokens = np.bincount(table.type_totals, weights=table.counts[:, ref])  # exact below 2**53

@@ -17,8 +17,6 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from ._writer import write_text
 from .corpus import ClassSpec, TaggedCorpus, _is_text
 
@@ -88,6 +86,8 @@ def zipf_token_counts(n_types: int, exponent: float, target_tokens: int) -> list
     from the currently largest rank until every rank has at least one
     (deterministic; requires target_tokens >= n_types).
     """
+    import numpy as np
+
     weights = np.arange(1, n_types + 1, dtype=float) ** -exponent
     shares = target_tokens * weights / weights.sum()
     counts = np.floor(shares).astype(np.int64)
@@ -111,6 +111,8 @@ def generate(spec: SynthSpec) -> tuple[TaggedCorpus, SynthTruth]:
     Tokens are emitted in rank order, as cells trusted like load_corpus's;
     downstream consumers shuffle with their own seed.
     """
+    import numpy as np
+
     counts = zipf_token_counts(spec.n_types, spec.zipf_exponent, spec.target_tokens)
     log_span = math.log(spec.n_types)
     ranks = range(1, spec.n_types + 1)

@@ -1,10 +1,14 @@
-"""Shared fixtures: a toy two-function class, corpus builders, and a cache
-directory of the session's own for every CLI run."""
+"""Shared fixtures: a toy two-function class, corpus builders, a cache
+directory of the session's own for every CLI run, and the environment of a
+child interpreter."""
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import hapaxprior
 from hapaxprior import ClassSpec, TaggedCorpus, TokenRecord
 
 
@@ -16,6 +20,15 @@ def cache_dir(tmp_path_factory):
         directory = tmp_path_factory.mktemp("cache")
         patch.setenv("HAPAXPRIOR_CACHE_DIR", str(directory))
         yield directory
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """os.environ with extra added, for a child interpreter that imports the
+    package these tests import: the directory holding hapaxprior.__file__'s
+    package (the checkout's src, or site-packages for an installed package)
+    comes first on PYTHONPATH."""
+    src = str(Path(hapaxprior.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **extra}
 
 
 @pytest.fixture

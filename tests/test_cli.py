@@ -16,9 +16,10 @@ from pathlib import Path
 
 import pytest
 
-import hapaxprior
 from hapaxprior import cli
 from hapaxprior.cli import main
+
+from conftest import child_env
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -603,10 +604,8 @@ class TestOutFile:
         script = ("import resource, sys\nfrom hapaxprior.cli import main\n"
                   f"if {limit}: resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
                   "sys.exit(main(sys.argv[1:]))\n")
-        src = str(Path(hapaxprior.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **dict(env)}
         options = {"capture_output": True, "text": True, **options}
-        return subprocess.run([sys.executable, "-c", script, *argv], env=env, timeout=120, **options)
+        return subprocess.run([sys.executable, "-c", script, *argv], env=child_env(**dict(env)), timeout=120, **options)
 
     def test_a_failed_write_leaves_the_old_out_file_and_no_temporary_file(self, tmp_path, capsys):
         argv, out = self.spectrum(tmp_path, capsys)
@@ -946,14 +945,38 @@ class TestNoScipy:
             "print('numpy.random' in sys.modules)\n"
             "print([m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules])\n"
         )
-        src = str(Path(hapaxprior.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+        done = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         # numpy.random and statistics (with fractions and decimal) cost start-up
         # on every run; neither the fold shuffle nor the running median needs them
         assert done.stdout.splitlines()[-3:] == ["[]", "False", "[]"]
+
+    def test_a_warm_crossval_and_report_import_no_numpy(self, tmp_path):
+        # a fold-count hit hashes, reads, estimates, tests and renders in pure
+        # Python, so a warm run need not pay for importing numpy
+        args = f"'--corpus', {write_corpus(tmp_path, crossval_pairs())!r}, '--class-spec', {write_spec(tmp_path)!r}"
+        env = child_env(HAPAXPRIOR_CACHE_DIR=str(tmp_path / "cache"))
+
+        def numpy_imported(*steps: str) -> list[str]:
+            """Whether numpy is imported after each of steps, run in turn in one fresh interpreter."""
+            script = "import sys\n" + "".join(f"{step}\nprint('numpy' in sys.modules)\n" for step in steps)
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert done.returncode == 0, done.stderr
+            return [line for line in done.stdout.splitlines() if line in ("True", "False")][-len(steps):]
+
+        assert numpy_imported("import hapaxprior") == ["False"]
+        assert numpy_imported("import hapaxprior.cli", "assert hapaxprior.cli.main(['--help']) == 0") == [
+            "False", "False"]
+        # cold: the corpus is coded and its folds counted, with numpy
+        assert numpy_imported(f"from hapaxprior.cli import main\nassert main(['crossval', {args}]) == 0") == ["True"]
+        assert numpy_imported(
+            "from hapaxprior.cli import main",
+            f"assert main(['crossval', {args}]) == 0",
+            f"assert main(['report', {args}]) == 0",
+            f"assert main(['spectrum', {args}]) == 0",  # builds a table: the check sees an import
+        ) == ["False", "False", "False", "True"]
 
 
 class TestReadme:

@@ -1373,6 +1373,30 @@ class TestFoldsCache:
         counted.forbid = True
         assert self.run(capsys, files) == want
 
+    @pytest.mark.parametrize("k", [2, 200], ids=["k=2", "k=n"])
+    def test_a_hit_gives_exactly_the_rows_a_miss_stored(self, files, ab_spec, k):
+        # counts no corpus gives, at and above 2**32, near 2**62 and 2**63 and
+        # negative: a hit read with another itemsize, sign or byte order
+        # gives other rows, or misses and counts again
+        pool = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**62 - 1, 2**62, 2**62 + 3, 2**63 - 1, -1, -(2**62) - 5]
+        rng = random.Random(k)
+        crafted = np.array([[rng.choice(pool) for _ in range(3 * 2 + 1)] for _ in range(k)], dtype=np.int64)
+        counts = []
+
+        def count(cells, forms, dropped):
+            counts.append(len(cells))
+            return crafted
+
+        def counted():
+            return corpus_module._read(files.corpus, ab_spec, False, lambda fh, path, job: _cache.fold_counted(
+                fh, path, job, k, self.SEED, files.cache, count))
+
+        assert counted() is crafted and counts == [200]
+        hit = counted()
+        assert counts == [200] and len(folds_entries(files.cache)) == 1
+        assert [list(row) for row in hit] == crafted.tolist()
+        assert {type(value) for row in hit for value in row} == {int}
+
     def test_a_cache_that_cannot_be_written_gives_the_same_output(self, capsys, files, tmp_path, monkeypatch):
         want = self.run(capsys, files, off=True)
         blocker = tmp_path / "file"

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hapaxprior import (
     ClassSpec,
     CrossValError,
+    DegenerateTTestError,
     FoldPlan,
     NoHapaxesError,
     make_folds,
@@ -437,11 +438,11 @@ class TestFoldCounts:
 
     @staticmethod
     def outcome(build):
-        """build()'s report, or the type, text and fold of its CrossValError."""
+        """build()'s report, or the type, text and fold (None for a t-test's) of its error."""
         try:
             return build()
-        except CrossValError as exc:
-            return type(exc), str(exc), exc.fold
+        except (CrossValError, DegenerateTTestError) as exc:
+            return type(exc), str(exc), getattr(exc, "fold", None)
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(tokens=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 1)), min_size=2, max_size=40),
@@ -465,6 +466,9 @@ class TestFoldCounts:
                 assert row[:6] == want["train_totals"] + want["hapax_totals"] + want["unseen"]
         report = self.outcome(lambda: crossval_report(self.SPEC, seed, counts, ratio))
         assert report == self.outcome(lambda: run_crossval(corpus, k, seed, ratio))
+        # the rows a fold-count hit gives make the same report
+        rows = [tuple(row) for row in counts.tolist()]
+        assert self.outcome(lambda: crossval_report(self.SPEC, seed, rows, ratio)) == report
 
 
 class TestShuffle:

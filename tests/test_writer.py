@@ -2,7 +2,6 @@
 
 import ast
 import errno
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import hapaxprior
+
+from conftest import child_env
 
 PACKAGE = Path(hapaxprior.__file__).resolve().parent
 WRITE_MODE = set("wax+")
@@ -91,8 +92,7 @@ except OSError as exc:
 
 
 def write_in_child(writer: str, path: Path, limit: int = 0) -> int:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", CHILD, writer, str(path), str(limit)], env=env,
+    done = subprocess.run([sys.executable, "-c", CHILD, writer, str(path), str(limit)], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.stderr == ""
     return done.returncode
